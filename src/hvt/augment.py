@@ -48,8 +48,12 @@ def resize_bilinear(img, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0).astype(np.float32)[:, None, None]
     fx = (xs - x0).astype(np.float32)[None, :, None]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    # Each source row set is gathered once. The column gathers stay fancy
+    # indexing: their (non-C) memory order sets the summation order of
+    # later reductions, so a C-ordered gather would move low bits.
+    r0, r1 = img[y0], img[y1]
+    top = r0[:, x0] * (1 - fx) + r0[:, x1] * fx
+    bot = r1[:, x0] * (1 - fx) + r1[:, x1] * fx
     return (top * (1 - fy) + bot * fy).astype(img.dtype)
 
 
@@ -86,8 +90,9 @@ def rotate(img, degrees):
 
 def rgb_to_hsv(img):
     r, g, b = img[..., 0], img[..., 1], img[..., 2]
-    maxc = img.max(axis=-1)
-    minc = img.min(axis=-1)
+    # pairwise over the planes: a reduction along a length-3 axis is slow
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
     v = maxc
     delta = maxc - minc
     s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
@@ -96,8 +101,15 @@ def rgb_to_hsv(img):
     gc = (maxc - g) / dz
     bc = (maxc - b) / dz
     h = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
-    h = np.where(delta > 0, (h / 6.0) % 1.0, 0.0)
+    # h - floor(h) is h % 1.0 bit for bit on (-1, 2), and far cheaper
+    h = h / 6.0
+    h = np.where(delta > 0, h - np.floor(h), 0.0)
     return np.stack([h, s, v], axis=-1)
+
+
+# (r, g, b) per hue sextant, as indices into the stack (v, q, p, t)
+_SEXTANT = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3],
+                     [2, 1, 0], [3, 2, 0], [0, 2, 1]])
 
 
 def hsv_to_rgb(hsv):
@@ -108,14 +120,10 @@ def hsv_to_rgb(hsv):
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
     i = i.astype(int) % 6
-    out = np.empty(hsv.shape, dtype=hsv.dtype)
-    for idx, (rr, gg, bb) in enumerate(((v, t, p), (q, v, p), (p, v, t),
-                                        (p, q, v), (t, p, v), (v, p, q))):
-        mask = i == idx
-        out[..., 0][mask] = rr[mask]
-        out[..., 1][mask] = gg[mask]
-        out[..., 2][mask] = bb[mask]
-    return out
+    # one flat gather: pixel n's channel c comes from vqpt[n, _SEXTANT[i[n], c]]
+    vqpt = np.stack([v, q, p, t], axis=-1)
+    flat = np.take(_SEXTANT, i, axis=0) + 4 * np.arange(i.size).reshape(i.shape + (1,))
+    return np.take(vqpt, flat)
 
 
 def color_jitter(img, rng, brightness=0.0, contrast=0.0, saturation=0.0, hue=0.0):
@@ -140,7 +148,8 @@ def color_jitter(img, rng, brightness=0.0, contrast=0.0, saturation=0.0, hue=0.0
     log["hue"] = shift
     if hue > 0:
         hsv = rgb_to_hsv(img.astype(np.float64))
-        hsv[..., 0] = (hsv[..., 0] + shift) % 1.0
+        h = hsv[..., 0] + shift
+        hsv[..., 0] = h - np.floor(h)  # h % 1.0, as in rgb_to_hsv
         img = _clip01(hsv_to_rgb(hsv)).astype(img.dtype)
     return img, log
 

@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .data import (ImageContainer, arrays_to_params, config_from_snapshot,
-                   generate_synthetic, load_checkpoint, normalize_images,
-                   params_to_arrays, save_checkpoint, stratified_split,
+from .data import (ImageContainer, config_from_snapshot, generate_synthetic,
+                   load_checkpoint, normalize_images, stratified_split,
                    write_csv)
 from .errors import (CheckpointManifestError, ConfigError, HVTError,
                      InputError)
@@ -29,7 +28,6 @@ from .finetune import finetune_loop, predict_proba, tta_predict
 from .metrics import (PredictionSet, apply_temperature, classification_metrics,
                       ece, fit_temperature, nll, reliability_bins)
 from .model import attention_rollout, forward, init_params, param_shapes
-from .optim import ema_weights
 from .ssl import init_projection_head, pretrain_loop
 from .tensor import RngStream, Tensor, no_grad
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import (CheckpointCRCError, CheckpointMagicError,
+from .errors import (CheckpointCRCError, CheckpointError, CheckpointMagicError,
                      CheckpointManifestError, CheckpointVersionError,
                      ContainerFormatError, InputError)
 from .augment import hsv_to_rgb
@@ -244,38 +244,50 @@ def load_checkpoint(path, expected_shapes=None):
     """Read a checkpoint; returns ``(arrays, config, meta)``.
 
     Raises distinct errors for bad magic, unsupported version, and CRC
-    mismatch. When ``expected_shapes`` (name -> shape) is given, the
-    manifest must match it exactly, otherwise a manifest error names the
-    offending tensors.
+    mismatch, and a plain ``CheckpointError`` for a truncated or corrupt
+    header or a manifest entry that does not fit the payload. When
+    ``expected_shapes`` (name -> shape) is given, the manifest must match
+    it exactly, otherwise a manifest error names the offending tensors.
     """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != CKPT_MAGIC:
         raise CheckpointMagicError(f"{path}: bad checkpoint magic")
+    if len(blob) < 12:
+        raise CheckpointError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<I", blob, 8)
     if version != CKPT_VERSION:
         raise CheckpointVersionError(f"{path}: unsupported version {version}")
-    pos = 12
-    (n,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    snapshot = json.loads(blob[pos:pos + n].decode())
-    pos += n
-    (n,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    manifest = json.loads(blob[pos:pos + n].decode())
-    pos += n
+    try:
+        pos = 12
+        (n,) = struct.unpack_from("<I", blob, pos)
+        pos += 4
+        snapshot = json.loads(blob[pos:pos + n].decode())
+        pos += n
+        (n,) = struct.unpack_from("<I", blob, pos)
+        pos += 4
+        manifest = json.loads(blob[pos:pos + n].decode())
+        pos += n
+        if not isinstance(snapshot, dict) or not isinstance(manifest, list):
+            raise ValueError("snapshot must be an object and manifest a list")
+    except (struct.error, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise CheckpointError(f"{path}: truncated or corrupt header ({e})") from None
     payload = blob[pos:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(payload) != crc:
         raise CheckpointCRCError(f"{path}: payload CRC mismatch")
     arrays = {}
     for entry in manifest:
-        dt = np.dtype(entry["dtype"]).newbyteorder("<")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
-        off = entry["offset"]
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=off)
-        arrays[entry["name"]] = arr.reshape(shape).astype(dt.newbyteorder("="))
+        try:
+            dt = np.dtype(entry["dtype"]).newbyteorder("<")
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape, dtype=np.int64))
+            arr = np.frombuffer(payload, dtype=dt, count=count, offset=entry["offset"])
+            arrays[entry["name"]] = arr.reshape(shape).astype(dt.newbyteorder("="))
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(
+                f"{path}: manifest entry {entry!r} does not fit the payload ({e})"
+            ) from None
     if expected_shapes is not None:
         got = {k: tuple(v.shape) for k, v in arrays.items()}
         want = {k: tuple(s) for k, s in expected_shapes.items()}
@@ -301,10 +313,6 @@ def write_csv(path, rows, fields):
 
 def params_to_arrays(params):
     return {k: t.data for k, t in params.items()}
-
-
-def arrays_to_params(arrays):
-    return {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
 
 
 def config_from_snapshot(snapshot):

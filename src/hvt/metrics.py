@@ -43,6 +43,8 @@ class PredictionSet:
         for name, arr in (("true", self.y_true), ("pred", self.y_pred)):
             if arr.min() < 0 or arr.max() >= c:
                 raise InputError(f"{name} label outside [0, {c})")
+        if not np.isfinite(self.probs).all():
+            raise InputError("probability rows must be finite")
         if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-6:
             raise InputError("probability rows must sum to 1 within 1e-6")
 

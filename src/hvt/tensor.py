@@ -205,11 +205,6 @@ def _topo_order(root):
     return order
 
 
-def backward(loss):
-    """Functional alias for :meth:`Tensor.backward`."""
-    loss.backward()
-
-
 # ----------------------------------------------------------------------
 # construction helpers
 
@@ -387,7 +382,8 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(a):
     """tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    # x * x * x, not x ** 3: numpy sends negative bases of ** to a slow pow
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -414,7 +410,14 @@ def matmul(a, b):
 
     def bwd(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        if not b.requires_grad:
+            gb = None
+        elif b.ndim == 2:
+            # a shared weight: one GEMM over all leading axes of a, not one
+            # product per sample summed afterwards (for a 2-D a they agree)
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _make(data, (a, b), bwd)

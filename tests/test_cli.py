@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from hvt.cli import main
-from hvt.data import ImageContainer
+from hvt.config import RunConfig
+from hvt.data import ImageContainer, params_to_arrays, save_checkpoint
 from hvt.metrics import PredictionSet
+from hvt.model import init_params
+from hvt.tensor import RngStream
 
 
 def write_cfg(tmp_path, extra=""):
@@ -35,6 +38,13 @@ def perfect_preds_csv(path, n=40, classes=7):
     probs[np.arange(n), y] = 1.0 - 1e-6 * (classes - 1)
     PredictionSet(y, y, probs).save_csv(path)
     return y
+
+
+def fresh_checkpoint(tmp_path, cfg):
+    config = RunConfig.load(cfg).model_config()
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(path, params_to_arrays(init_params(config, RngStream(0))), config)
+    return path
 
 
 class TestUsageAndErrors:
@@ -131,6 +141,32 @@ class TestEvalAndMcnemar:
         PredictionSet(yb, yb, probs).save_csv(b_csv)
         assert main(["mcnemar", "--preds-a", str(a_csv), "--preds-b", str(b_csv),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_eval_on_nan_pixels_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        images = np.full((3, 64, 64, 3), np.nan, np.float32)
+        data = tmp_path / "nan.hvtimg"
+        ImageContainer(images, np.array([0, 1, 2], np.int32)).save(data)
+        rc = main(["eval", "--checkpoint", str(fresh_checkpoint(tmp_path, cfg)),
+                   "--data", str(data), "--config", cfg,
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert "kind=InputError" in capsys.readouterr().out
+        assert not (tmp_path / "m" / "metrics.json").exists()
+
+    def test_eval_on_truncated_checkpoint_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        ckpt = fresh_checkpoint(tmp_path, cfg)
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        data = tmp_path / "d"
+        assert main(["gen-data", "--seed", "2", "--out", str(data),
+                     "--config", cfg, "--n-per-class", "10",
+                     "--n-unlabeled", "1"]) == 0
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--data", str(data / "test.hvtimg"), "--config", cfg,
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert "kind=CheckpointError" in capsys.readouterr().out
 
 
 class TestCalibrate:

@@ -1,10 +1,14 @@
 """Containers, synthetic data, splits, checkpoints."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from hvt import data as D
-from hvt.errors import (CheckpointCRCError, CheckpointMagicError,
+from hvt.errors import (CheckpointCRCError, CheckpointError, CheckpointMagicError,
                         CheckpointManifestError, CheckpointVersionError,
                         ContainerFormatError, InputError)
 from hvt.model import HVTConfig, init_params, param_shapes
@@ -190,3 +194,52 @@ class TestCheckpoint:
         D.save_checkpoint(path, D.params_to_arrays(params), cfg)
         arrays, _, _ = D.load_checkpoint(path, expected_shapes=param_shapes(cfg))
         assert set(arrays) == set(params)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "h.ckpt"
+        D.save_checkpoint(path, {"x": np.ones((4, 4), np.float32)},
+                          HVTConfig.tiny(drop_path_max=0.0), {"step": 1})
+        return path, path.read_bytes()
+
+    def test_cut_inside_snapshot_json_is_checkpoint_error(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:40])  # mid-way through the snapshot JSON
+        with pytest.raises(CheckpointError, match="header"):
+            D.load_checkpoint(path)
+
+    def test_cut_inside_length_prefix_is_checkpoint_error(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:14])  # two bytes into the snapshot length
+        with pytest.raises(CheckpointError, match="header"):
+            D.load_checkpoint(path)
+
+    def test_non_utf8_header_byte_is_checkpoint_error(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        bad = bytearray(blob)
+        bad[17] = 0xFF  # inside the snapshot JSON, never valid UTF-8
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="header"):
+            D.load_checkpoint(path)
+
+    @staticmethod
+    def _assembled(path, snapshot, manifest, payload=b""):
+        """A checkpoint with the given header values and a correct CRC."""
+        snapshot, manifest = json.dumps(snapshot).encode(), json.dumps(manifest).encode()
+        path.write_bytes(D.CKPT_MAGIC + struct.pack("<I", D.CKPT_VERSION)
+                         + struct.pack("<I", len(snapshot)) + snapshot
+                         + struct.pack("<I", len(manifest)) + manifest
+                         + payload + struct.pack("<I", zlib.crc32(payload)))
+        return path
+
+    def test_manifest_offset_past_payload_is_checkpoint_error(self, tmp_path):
+        path = self._assembled(
+            tmp_path / "off.ckpt", {"config": None, "meta": {}},
+            [{"name": "x", "dtype": "float32", "shape": [4], "offset": 64}],
+            np.ones(4, "<f4").tobytes())
+        with pytest.raises(CheckpointError, match="'x'"):
+            D.load_checkpoint(path)
+
+    def test_header_of_wrong_json_type_is_checkpoint_error(self, tmp_path):
+        path = self._assembled(tmp_path / "list.ckpt", [], [])
+        with pytest.raises(CheckpointError, match="header"):
+            D.load_checkpoint(path)

@@ -235,3 +235,11 @@ class TestPredictionSetCSV:
     def test_row_sum_validated(self):
         with pytest.raises(InputError):
             PredictionSet(np.array([0]), np.array([0]), np.array([[0.5, 0.4]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # NaN - 1 compares False against any tolerance, so the row-sum
+        # check alone would let a NaN row through
+        probs = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(InputError, match="finite"):
+            PredictionSet(np.array([0, 1]), np.array([0, 1]), probs)

@@ -65,6 +65,32 @@ class TestMatmul:
 
         check_grads(build, [a, b])
 
+    @pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 1, 4), (2, 2, 3, 4)])
+    @pytest.mark.parametrize("a_grad", [True, False])
+    def test_shared_2d_weight_grad(self, a_shape, a_grad):
+        # (B, ..., D) @ (D, E): the weight gradient is folded into one GEMM
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=(4, 5))
+        w = rng.normal(size=a_shape[:-1] + (5,))
+
+        def build(*arrs):
+            a_, b_ = arrs if a_grad else (a, arrs[0])
+            ta, tb = t64(a_, rg=a_grad), t64(b_)
+            loss = (T.matmul(ta, tb) * T.Tensor(w, dtype=np.float64)).sum()
+            return loss, [ta, tb] if a_grad else [tb]
+
+        check_grads(build, [a, b] if a_grad else [b], tol=1e-6)
+
+    def test_shared_weight_grad_matches_per_sample_sum(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(6, 3, 4))
+        g = rng.normal(size=(6, 3, 5))
+        tb = t64(rng.normal(size=(4, 5)))
+        (T.matmul(t64(a), tb) * T.Tensor(g, dtype=np.float64)).sum().backward()
+        np.testing.assert_allclose(tb.grad, sum(a[i].T @ g[i] for i in range(6)),
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -157,6 +183,15 @@ class TestGelu:
             return (T.gelu(tx) * T.gelu(tx)).sum(), [tx]
 
         check_grads(build, [x])
+
+    def test_negative_float32_matches_float64_formula(self):
+        x = -np.geomspace(1e-4, 12.0, 4096).astype(np.float32)
+        x64 = x.astype(np.float64)
+        want = 0.5 * x64 * (1 + np.tanh(math.sqrt(2 / math.pi) * (x64 + 0.044715 * x64**3)))
+        got = T.gelu(T.Tensor(x)).numpy()
+        assert got.dtype == np.float32
+        # atol covers float32's 1 + tanh(.) cancellation in the far tail
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
 class TestElementwise:
