@@ -34,8 +34,12 @@ def _clip01(img):
 
 
 def resize_bilinear(img, out_h, out_w):
-    """Bilinear resize with half-pixel centers and clamped borders."""
-    h, w = img.shape[:2]
+    """Bilinear resize with half-pixel centers and clamped borders.
+
+    ``img`` is one ``(h, w, C)`` image or a stack ``(..., h, w, C)``; every
+    image of a stack comes out as a single call on it would give it.
+    """
+    *lead, h, w, c = img.shape
     if (h, w) == (out_h, out_w):
         return img.copy()
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
@@ -48,13 +52,17 @@ def resize_bilinear(img, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0).astype(np.float32)[:, None, None]
     fx = (xs - x0).astype(np.float32)[None, :, None]
-    # Each source row set is gathered once. The column gathers stay fancy
-    # indexing: their (non-C) memory order sets the summation order of
-    # later reductions, so a C-ordered gather would move low bits.
-    r0, r1 = img[y0], img[y1]
-    top = r0[:, x0] * (1 - fx) + r0[:, x1] * fx
-    bot = r1[:, x0] * (1 - fx) + r1[:, x1] * fx
-    return (top * (1 - fy) + bot * fy).astype(img.dtype)
+    # One flat gather per corner, laid out x-major and viewed back as
+    # (out_h, out_w): the same memory order as per-row fancy indexing gave,
+    # and later reductions sum in that order, so C order would move bits.
+    pixels = img.reshape(*lead, h * w, c)
+
+    def corner(yi, xi):
+        return np.take(pixels, xi[:, None] + w * yi, axis=-2).swapaxes(-3, -2)
+
+    top = corner(y0, x0) * (1 - fx) + corner(y0, x1) * fx
+    bot = corner(y1, x0) * (1 - fx) + corner(y1, x1) * fx
+    return (top * (1 - fy) + bot * fy).astype(img.dtype, copy=False)
 
 
 def hflip(img):
@@ -198,7 +206,8 @@ def five_crop(img, ratio=0.875):
         raise InputError(f"crop {ch}x{cw} does not fit image {h}x{w}")
     anchors = [(0, 0), (0, w - cw), (h - ch, 0), (h - ch, w - cw),
                ((h - ch) // 2, (w - cw) // 2)]
-    return [resize_bilinear(img[i:i + ch, j:j + cw], h, w) for i, j in anchors]
+    crops = np.stack([img[i:i + ch, j:j + cw] for i, j in anchors])
+    return list(resize_bilinear(crops, h, w))
 
 
 # ----------------------------------------------------------------------

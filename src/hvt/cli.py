@@ -26,7 +26,8 @@ from .errors import (CheckpointManifestError, ConfigError, HVTError,
                      InputError)
 from .finetune import finetune_loop, predict_proba, tta_predict
 from .metrics import (PredictionSet, apply_temperature, classification_metrics,
-                      ece, fit_temperature, nll, reliability_bins)
+                      ece, fit_temperature, nll, reliability_bins,
+                      temperature_at_bound)
 from .model import attention_rollout, forward, init_params, param_shapes
 from .ssl import init_projection_head, pretrain_loop
 from .tensor import RngStream, Tensor, no_grad
@@ -239,6 +240,7 @@ def cmd_calibrate(args):
     payload = {
         "temperature": t_star,
         "degenerate": degenerate,
+        "at_bound": temperature_at_bound(t_star),
         "val_nll_before": nll(val_logits, val_y, 1.0),
         "val_nll_after": nll(val_logits, val_y, t_star),
         "val_ece_before": ece(PredictionSet.from_probs(
@@ -254,7 +256,7 @@ def cmd_calibrate(args):
         after.save_csv(os.path.join(out, "test_predictions_calibrated.csv"))
     with open(os.path.join(out, "calibration.json"), "w") as f:
         f.write(json.dumps(payload, sort_keys=True, indent=2))
-    emit(event="calibrate_done", temperature=t_star,
+    emit(event="calibrate_done", temperature=t_star, at_bound=payload["at_bound"],
          val_ece_before=payload["val_ece_before"],
          val_ece_after=payload["val_ece_after"])
     return 0

@@ -99,9 +99,14 @@ class ImageContainer:
 
 def normalize_images(images, mean, std):
     """Per-channel standardization applied at load time before the model."""
-    mean = np.asarray(mean, dtype=np.float32)
-    std = np.asarray(std, dtype=np.float32)
-    return ((images - mean) / std).astype(np.float32)
+    images = np.asarray(images)
+    w, c = images.shape[-2:]
+    # on (..., W*C) rows with the stats tiled to match: broadcasting a
+    # length-C axis runs numpy's inner loop C elements at a time
+    mean = np.broadcast_to(np.asarray(mean, dtype=np.float32), (w, c)).reshape(-1)
+    std = np.broadcast_to(np.asarray(std, dtype=np.float32), (w, c)).reshape(-1)
+    rows = images.reshape(*images.shape[:-2], w * c)
+    return ((rows - mean) / std).astype(np.float32, copy=False).reshape(images.shape)
 
 
 # ----------------------------------------------------------------------

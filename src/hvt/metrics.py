@@ -221,12 +221,17 @@ def nll(logits, labels, temperature=1.0):
     return float(-np.mean(logp[np.arange(len(labels)), np.asarray(labels)]))
 
 
-def fit_temperature(logits, labels, tol=1e-4):
+LOG_T_BRACKET = (-3.0, 3.0)  # fit_temperature searches log T over this
+LOG_T_TOL = 1e-4
+
+
+def fit_temperature(logits, labels, tol=LOG_T_TOL):
     """Golden-section search for T minimizing validation NLL.
 
-    The search runs on log T over [-3, 3]. Degenerate logits (every row
-    constant) make T unidentifiable; returns 1.0 with a flag in that case.
-    Returns ``(T_star, degenerate)``.
+    The search runs on log T over ``LOG_T_BRACKET``. Degenerate logits
+    (every row constant) make T unidentifiable; returns 1.0 with a flag in
+    that case. A T* on the edge of the bracket is not a minimum; see
+    :func:`temperature_at_bound`. Returns ``(T_star, degenerate)``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -234,7 +239,7 @@ def fit_temperature(logits, labels, tol=1e-4):
         raise InputError("fit_temperature needs a non-empty validation set")
     if np.ptp(logits, axis=1).max() < 1e-12:
         return 1.0, True
-    lo, hi = -3.0, 3.0
+    lo, hi = LOG_T_BRACKET
     phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def f(log_t):
@@ -253,6 +258,13 @@ def fit_temperature(logits, labels, tol=1e-4):
             x2 = lo + phi * (hi - lo)
             f2 = f(x2)
     return float(math.exp(0.5 * (lo + hi))), False
+
+
+def temperature_at_bound(temperature):
+    """True when a fitted T lies within the search tolerance of an edge of
+    the bracket: NLL was still falling there, so T is not trustworthy."""
+    log_t = math.log(temperature)
+    return any(abs(log_t - edge) <= LOG_T_TOL for edge in LOG_T_BRACKET)
 
 
 def apply_temperature(logits, temperature):

@@ -97,9 +97,8 @@ class HVTConfig:
         return gh * gw
 
     # ------------------------------------------------------------------
-    # presets (tiny/desk sized for CPU experiments; small/base/large are
-    # this repo's own reduced variants, not claimed to match any external
-    # checkpoint)
+    # presets (tiny/desk sized for CPU experiments; base is this repo's own
+    # reduced variant, not claimed to match any external checkpoint)
 
     @classmethod
     def xl(cls, **kw):
@@ -126,25 +125,10 @@ class HVTConfig:
         return cls(**kw)
 
     @classmethod
-    def small(cls, **kw):
-        kw.setdefault("input_size", (224, 224))
-        kw.setdefault("depths", (2, 2, 4, 2))
-        kw.setdefault("dims", (96, 192, 384, 768))
-        kw.setdefault("heads", (3, 6, 12, 24))
-        return cls(**kw)
-
-    @classmethod
     def base(cls, **kw):
         kw.setdefault("depths", (2, 2, 12, 2))
         kw.setdefault("dims", (128, 256, 512, 1024))
         kw.setdefault("heads", (4, 8, 16, 32))
-        return cls(**kw)
-
-    @classmethod
-    def large(cls, **kw):
-        kw.setdefault("depths", (3, 4, 18, 3))
-        kw.setdefault("dims", (160, 320, 640, 1280))
-        kw.setdefault("heads", (5, 10, 20, 40))
         return cls(**kw)
 
 
@@ -261,8 +245,8 @@ def patch_embed(images, params, config):
                .transpose(0, 1, 3, 2, 4, 5)
                .reshape(b, gh * gw, p * p * 3))
     wmat = params["patch_embed.w"]
-    tokens = T.matmul(Tensor(patches.astype(wmat.dtype, copy=False)), wmat)
-    tokens = tokens + params["patch_embed.b"]
+    tokens = T.matmul(Tensor(patches.astype(wmat.dtype, copy=False)), wmat,
+                      params["patch_embed.b"])
     return tokens[0] if single else tokens
 
 
@@ -271,7 +255,8 @@ def mha(x, p, heads):
 
     ``p`` maps {wq,bq,wk,bk,wv,bv[,wo,bo]} to tensors. Returns the output
     tokens and the attention probabilities ``(B, heads, N, N)`` (leading
-    batch axis dropped for unbatched input).
+    batch axis dropped for unbatched input). The probabilities are the
+    softmax node's own array, not a copy: treat them as read-only.
     """
     single = x.ndim == 2
     if single:
@@ -284,16 +269,16 @@ def mha(x, p, heads):
     def split(t):  # (B, N, D) -> (B, heads, N, dh)
         return T.permute(T.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
 
-    q = split(T.matmul(x, p["wq"]) + p["bq"])
-    k = split(T.matmul(x, p["wk"]) + p["bk"])
-    v = split(T.matmul(x, p["wv"]) + p["bv"])
+    q = split(T.matmul(x, p["wq"], p["bq"]))
+    k = split(T.matmul(x, p["wk"], p["bk"]))
+    v = split(T.matmul(x, p["wv"], p["bv"]))
     logits = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     probs = T.softmax(logits, axis=-1)
     ctx = T.matmul(probs, v)
     out = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))
     if "wo" in p:
-        out = T.matmul(out, p["wo"]) + p["bo"]
-    attn = probs.numpy().copy()
+        out = T.matmul(out, p["wo"], p["bo"])
+    attn = probs.numpy()
     if single:
         return out[0], attn[0]
     return out, attn
@@ -301,7 +286,7 @@ def mha(x, p, heads):
 
 def ffn(x, p):
     """Two-layer MLP with GELU: W2 . gelu(W1 x + b1) + b2."""
-    return T.matmul(T.gelu(T.matmul(x, p["w1"]) + p["b1"]), p["w2"]) + p["b2"]
+    return T.matmul(T.gelu(T.matmul(x, p["w1"], p["b1"])), p["w2"], p["b2"])
 
 
 def drop_path(x, p, mode, rng=None):
@@ -396,13 +381,13 @@ def forward(images, params, config, mode="infer", rng=None, capture="none"):
                 x, _sub(params, f"stages.{s}.blocks.{i}."),
                 config.heads[s], p_l, mode, rng)
             if record is not None and (capture == "all" or s == config.n_stages - 1):
-                record.blocks.append(probs if not single else probs[0])
+                record.blocks.append((probs if not single else probs[0]).copy())
                 record.stage_ids.append(s)
         stages.append(x[0] if single else x)
         if s < config.n_stages - 1:
             x = patch_merge(x, params[f"merges.{s}.w"], config.grid(s))
     feats = T.reduce(x, "mean", axis=1)
-    logits = T.matmul(feats, params["head.w"]) + params["head.b"]
+    logits = T.matmul(feats, params["head.w"], params["head.b"])
     if single:
         return ForwardResult(logits[0], stages, feats[0], record)
     return ForwardResult(logits, stages, feats, record)
@@ -419,22 +404,8 @@ def attention_rollout(record):
 
     Returns ``(grid_map, full_map)``.
     """
-    if record is None or len(record) == 0:
-        raise ContractError("attention_rollout needs a non-empty record")
-    mats = []
-    for probs in record.blocks:
-        a = np.asarray(probs, dtype=np.float64)
-        if a.ndim == 4:
-            if a.shape[0] != 1:
-                raise ContractError("rollout expects single-sample attention")
-            a = a[0]
-        mats.append(a.mean(axis=0))
-    n = mats[0].shape[0]
-    rollout = np.eye(n)
-    for a in mats:
-        mixed = 0.5 * a + 0.5 * np.eye(n)
-        mixed /= mixed.sum(axis=1, keepdims=True)
-        rollout = mixed @ rollout
+    rollout = rollout_intermediates(record)[-1]
+    n = rollout.shape[0]
     relevance = rollout.mean(axis=0)
     gh, gw = record.grid
     if gh * gw != n:
@@ -450,7 +421,8 @@ def attention_rollout(record):
 
 
 def rollout_intermediates(record):
-    """Running rollout products after each block (for invariant checks)."""
+    """Running rollout products after each block; the last one is the
+    product :func:`attention_rollout` reads its relevance from."""
     if record is None or len(record) == 0:
         raise ContractError("attention_rollout needs a non-empty record")
     out = []
@@ -459,9 +431,11 @@ def rollout_intermediates(record):
     for probs in record.blocks:
         a = np.asarray(probs, dtype=np.float64)
         if a.ndim == 4:
+            if a.shape[0] != 1:
+                raise ContractError("rollout expects single-sample attention")
             a = a[0]
         mixed = 0.5 * a.mean(axis=0) + 0.5 * np.eye(n)
         mixed /= mixed.sum(axis=1, keepdims=True)
         rollout = mixed @ rollout
-        out.append(rollout.copy())
+        out.append(rollout)
     return out

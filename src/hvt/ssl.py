@@ -103,8 +103,8 @@ def init_projection_head(d_in, rng, hidden=0, out_dim=128, dtype=np.float32):
 
 def project(features, head):
     """Map backbone features to contrastive embeddings (GELU between layers)."""
-    h = T.gelu(T.matmul(features, head["proj.w1"]) + head["proj.b1"])
-    return T.matmul(h, head["proj.w2"]) + head["proj.b2"]
+    h = T.gelu(T.matmul(features, head["proj.w1"], head["proj.b1"]))
+    return T.matmul(h, head["proj.w2"], head["proj.b2"])
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +252,7 @@ def linear_probe(train_x, train_y, eval_x, eval_y, classes, steps=400, lr=0.05):
     x_t = Tensor(train_x, dtype=np.float64)
     y_t = Tensor(onehot, dtype=np.float64)
     for _ in range(steps):
-        logits = T.matmul(x_t, w) + b
+        logits = T.matmul(x_t, w, b)
         logp = T.log(T.clamp_min(T.softmax(logits, axis=1), 1e-12))
         loss = T.scale(T.reduce(logp * y_t, "sum", axis=1).mean(), -1.0)
         loss.backward()

@@ -398,8 +398,12 @@ def gelu(a):
 # ----------------------------------------------------------------------
 # matmul, softmax, layer norm
 
-def matmul(a, b):
-    """Matrix product on the last two axes; leading axes must broadcast."""
+def matmul(a, b, bias=None):
+    """Matrix product on the last two axes; leading axes must broadcast.
+
+    ``bias`` (shape ``(E,)``, only with a 2-D ``b`` of shape ``(D, E)``) is
+    added in the same node: ``a @ b + bias``.
+    """
     a, b = as_tensor(a), as_tensor(b)
     _check_dtypes(a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -407,6 +411,14 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        _check_dtypes(b, bias)
+        if b.ndim != 2 or bias.shape != (b.shape[-1],):
+            raise ShapeError(f"bias {bias.shape} needs a 2-d weight, got {b.shape}")
+        data += bias.data
+        parents = (a, b, bias)
 
     def bwd(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
@@ -418,9 +430,12 @@ def matmul(a, b):
             gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        gbias = g.reshape(-1, g.shape[-1]).sum(axis=0) if bias.requires_grad else None
+        return ga, gb, gbias
 
-    return _make(data, (a, b), bwd)
+    return _make(data, parents, bwd)
 
 
 def softmax(a, axis=-1):
@@ -441,17 +456,32 @@ def layer_norm(x, gain, bias, eps=1e-5):
     """Standardize the last axis to zero mean / unit variance, then affine.
 
     ``gain`` and ``bias`` must have shape (D,) where D is the last extent.
+    One node with a closed-form backward.
     """
     gain, bias = as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
-    mu = reduce(x, "mean", axis=-1, keepdims=True)
-    centered = sub(x, broadcast_to(mu, x.shape))
-    var = reduce(mul(centered, centered), "mean", axis=-1, keepdims=True)
-    inv = power(_shift(var, eps), -0.5)
-    xhat = mul(centered, broadcast_to(inv, x.shape))
-    return add(mul(xhat, gain), bias)
+    _check_dtypes(x, gain)
+    _check_dtypes(x, bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = (var + var.dtype.type(eps)) ** -0.5
+    xhat = centered * inv
+    data = xhat * gain.data + bias.data
+
+    def bwd(g):
+        lead = tuple(range(g.ndim - 1))
+        gx = None
+        if x.requires_grad:
+            gxhat = g * gain.data
+            gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
+        gbias = g.sum(axis=lead) if bias.requires_grad else None
+        return gx, ggain, gbias
+
+    return _make(data, (x, gain, bias), bwd)
 
 
 # ----------------------------------------------------------------------

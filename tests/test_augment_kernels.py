@@ -166,6 +166,15 @@ class TestBitIdenticalToReference:
         # memory order too: later reductions sum in it
         assert got.strides == want.strides
 
+    @pytest.mark.parametrize("shape,out", [((56, 56), (64, 64)), ((17, 23), (32, 32)),
+                                           ((64, 64), (24, 40))])
+    def test_resize_bilinear_stack_matches_single_calls(self, shape, out):
+        stack = np.random.default_rng(3).random((5,) + shape + (3,)).astype(np.float32)
+        got = A.resize_bilinear(stack, *out)
+        assert got.shape == (5,) + out + (3,)
+        for g, img in zip(got, stack):
+            assert np.array_equal(g, ref_resize_bilinear(img, *out))
+
     def test_color_jitter_with_wrapping_hue_shifts(self):
         imgs = np.concatenate([tricky_images(6, size=64, seed=3), desk_images(6)])
         wrapped_below = wrapped_above = False

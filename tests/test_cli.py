@@ -188,8 +188,25 @@ class TestCalibrate:
                      "--test-preds", str(test_csv), "--out", str(out)]) == 0
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["temperature"] > 1.5  # sharpened by 3x, T* near 3
+        assert payload["at_bound"] is False
         assert payload["val_nll_after"] <= payload["val_nll_before"]
         assert (out / "test_predictions_calibrated.csv").exists()
+
+
+    def test_boundary_temperature_reported_at_bound(self, tmp_path, capsys):
+        # log-probabilities of 0.01 x one-hot logits: NLL keeps falling as T
+        # shrinks, so T* lands on the lower edge of the search bracket
+        y = np.arange(70) % 7
+        z = 0.01 * np.eye(7)[y]
+        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        val_csv = tmp_path / "v.csv"
+        PredictionSet.from_probs(y, probs).save_csv(val_csv)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--val-preds", str(val_csv), "--out", str(out)]) == 0
+        payload = json.loads((out / "calibration.json").read_text())
+        assert payload["at_bound"] is True and payload["degenerate"] is False
+        assert abs(payload["temperature"] - np.exp(-3.0)) < 1e-3 * np.exp(-3.0)
+        assert "at_bound=True" in capsys.readouterr().out
 
 
 class TestFullPipeline:

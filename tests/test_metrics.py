@@ -159,11 +159,13 @@ class TestTemperature:
         t, degenerate = M.fit_temperature(logits, labels)
         assert not degenerate
         assert abs(t - 1.0) < 0.05
+        assert not M.temperature_at_bound(t)
 
     def test_doubled_logits_recover_two(self):
         logits, labels = calibrated_logits(np.random.default_rng(1))
         t, _ = M.fit_temperature(2.0 * logits, labels)
         assert abs(t - 2.0) < 0.05
+        assert not M.temperature_at_bound(t)
 
     def test_nll_at_fit_never_worse(self):
         rng = np.random.default_rng(2)
@@ -176,6 +178,17 @@ class TestTemperature:
         logits = np.ones((10, 4))
         t, degenerate = M.fit_temperature(logits, np.zeros(10, dtype=int))
         assert t == 1.0 and degenerate
+
+    def test_boundary_fit_flagged_at_bound(self):
+        # the correct class always leads (trails): NLL keeps falling as T
+        # shrinks (grows), so the search ends on the edge of its bracket
+        labels = np.arange(40) % 5
+        onehot = np.eye(5)[labels]
+        t_low, degenerate = M.fit_temperature(0.01 * onehot, labels)
+        t_high, _ = M.fit_temperature(-0.01 * onehot, labels)
+        assert not degenerate
+        assert abs(math.log(t_low) + 3.0) < 1e-3 and M.temperature_at_bound(t_low)
+        assert abs(math.log(t_high) - 3.0) < 1e-3 and M.temperature_at_bound(t_high)
 
     def test_apply_identity_at_one(self):
         rng = np.random.default_rng(3)

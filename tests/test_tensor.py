@@ -92,6 +92,32 @@ class TestMatmul:
                                    rtol=1e-12, atol=1e-12)
 
 
+    @pytest.mark.parametrize("a_shape", [(3, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("a_grad", [True, False])
+    def test_bias_grad(self, a_shape, a_grad):
+        # a @ b + bias in one node; the bias gradient sums over leading axes
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=(4, 5))
+        c = rng.normal(size=5)
+        w = rng.normal(size=a_shape[:-1] + (5,))
+
+        def build(*arrs):
+            a_, b_, c_ = arrs if a_grad else (a,) + arrs
+            ta, tb, tc = t64(a_, rg=a_grad), t64(b_), t64(c_)
+            loss = (T.matmul(ta, tb, tc) * T.Tensor(w, dtype=np.float64)).sum()
+            return loss, [ta, tb, tc] if a_grad else [tb, tc]
+
+        check_grads(build, [a, b, c] if a_grad else [b, c], tol=1e-6)
+
+    def test_bias_shape_checked(self):
+        a, b = t64(np.zeros((2, 4))), t64(np.zeros((4, 5)))
+        with pytest.raises(ShapeError):
+            T.matmul(a, b, t64(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            T.matmul(t64(np.zeros((2, 2, 4))), t64(np.zeros((2, 4, 5))), t64(np.zeros(5)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(t64([0.0, 0.0]), axis=-1)
@@ -160,6 +186,27 @@ class TestLayerNorm:
             return (out * T.Tensor(w, dtype=np.float64)).sum(), [tx, tg, tb]
 
         check_grads(build, [x, g, b])
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_batched_grad_closed_form(self, x_grad):
+        # (2, 3, 5): gain and bias gradients sum over both leading axes
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 5))
+        g = rng.normal(size=5)
+        b = rng.normal(size=5)
+        w = rng.normal(size=(2, 3, 5))
+
+        def build(*arrs):
+            x_, g_, b_ = arrs if x_grad else (x,) + arrs
+            tx, tg, tb = t64(x_, rg=x_grad), t64(g_), t64(b_)
+            out = T.layer_norm(tx, tg, tb)
+            return (out * T.Tensor(w, dtype=np.float64)).sum(), [tx, tg, tb] if x_grad else [tg, tb]
+
+        check_grads(build, [x, g, b] if x_grad else [g, b], tol=1e-6)
+
+    def test_mixed_dtype_rejected(self):
+        with pytest.raises(ShapeError):
+            T.layer_norm(t64(np.zeros((2, 4))), T.ones(4), T.zeros(4, np.float64))
 
 
 class TestGelu:
