@@ -9,16 +9,21 @@ Determinism: every random decision comes from the ``RngStream`` handed in,
 in a fixed draw order, so (seed, image) pins the output bit-for-bit.
 
 Conventions: grayscale uses ITU-R 601 luminance weights; color jitter is
-applied brightness -> contrast -> saturation -> hue with clamping to [0, 1]
-after each step; Gaussian blur always fires (the policy only randomizes
-sigma) on a fixed 23-tap kernel with reflect padding; rotation fills
-borders by edge replication.
+applied brightness -> contrast -> saturation -> hue, each step's output in
+[0, 1]; Gaussian blur always fires (the policy only randomizes sigma) on a
+fixed 23-tap kernel with reflect padding; rotation fills borders by edge
+replication.
+
+Kernels: resize and blur are separable linear maps, applied as two float32
+matrix products each (``_separable``); the hue shift works on each pixel's
+max, min and hue sextant in the image's own dtype, without an HSV round
+trip. Their output may be laid out channel-planar; every result reads as
+``(..., H, W, C)``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,36 +38,59 @@ def _clip01(img):
     return np.clip(img, 0.0, 1.0)
 
 
+def _separable(img, my, mx):
+    """``my`` along the rows and ``mx`` along the columns of ``(..., h, w, C)``
+    images, as two GEMMs and no transpose copy.
+
+    Each GEMM contracts the first or last axis of the memory and puts its
+    output axis at the other end, so the memory order rotates: channels-last
+    (y, x, C) memory comes out channel-planar (C, y, x), and planar memory
+    comes out channels-last. Either way the result reads as (..., H, W, C).
+    """
+    *lead, h, w, c = img.shape
+    out_h, out_w = my.shape[0], mx.shape[0]
+    planar = img.swapaxes(-1, -3).swapaxes(-1, -2)  # (..., C, h, w) view
+    if planar.flags.c_contiguous:
+        # (C, y, x) -> (x', C, y) -> (y', x', C)
+        t = mx @ planar.reshape(*lead, c * h, w).swapaxes(-1, -2)
+        out = my @ t.reshape(*lead, out_w * c, h).swapaxes(-1, -2)
+        return out.reshape(*lead, out_h, out_w, c)
+    # (y, x, C) -> (x, C, y') -> (C, y', x')
+    t = img.reshape(*lead, h, w * c).swapaxes(-1, -2) @ my.T
+    out = t.reshape(*lead, w, c * out_h).swapaxes(-1, -2) @ mx.T
+    return out.reshape(*lead, c, out_h, out_w).swapaxes(-3, -1).swapaxes(-3, -2)
+
+
+@functools.lru_cache(maxsize=256)
+def _interp_matrix(n_out, n_in, dtype):
+    """(n_out, n_in) bilinear weights: half-pixel centres, clamped borders.
+
+    Cached (read-only): random crops draw from a few dozen sizes."""
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0, n_in - 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = pos - lo
+    rows = np.arange(n_out) * n_in
+    m = np.bincount(np.concatenate([rows + lo, rows + hi]),
+                    np.concatenate([1 - frac, frac]), minlength=n_out * n_in)
+    m = m.reshape(n_out, n_in).astype(dtype)
+    m.flags.writeable = False
+    return m
+
+
 def resize_bilinear(img, out_h, out_w):
     """Bilinear resize with half-pixel centers and clamped borders.
 
     ``img`` is one ``(h, w, C)`` image or a stack ``(..., h, w, C)``; every
-    image of a stack comes out as a single call on it would give it.
+    image of a stack comes out as a single call on it would give it. The
+    result may be laid out channel-planar (see ``_separable``).
     """
-    *lead, h, w, c = img.shape
+    h, w = img.shape[-3:-1]
     if (h, w) == (out_h, out_w):
         return img.copy()
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    ys = np.clip(ys, 0, h - 1)
-    xs = np.clip(xs, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0).astype(np.float32)[:, None, None]
-    fx = (xs - x0).astype(np.float32)[None, :, None]
-    # One flat gather per corner, laid out x-major and viewed back as
-    # (out_h, out_w): the same memory order as per-row fancy indexing gave,
-    # and later reductions sum in that order, so C order would move bits.
-    pixels = img.reshape(*lead, h * w, c)
-
-    def corner(yi, xi):
-        return np.take(pixels, xi[:, None] + w * yi, axis=-2).swapaxes(-3, -2)
-
-    top = corner(y0, x0) * (1 - fx) + corner(y0, x1) * fx
-    bot = corner(y1, x0) * (1 - fx) + corner(y1, x1) * fx
-    return (top * (1 - fy) + bot * fy).astype(img.dtype, copy=False)
+    dtype = np.result_type(img.dtype, np.float32)
+    out = _separable(img, _interp_matrix(out_h, h, dtype), _interp_matrix(out_w, w, dtype))
+    return out.astype(img.dtype, copy=False)
 
 
 def hflip(img):
@@ -73,27 +101,61 @@ def vflip(img):
     return img[::-1].copy()
 
 
+def _luma(img):
+    return img[..., :3] @ _LUMA.astype(img.dtype, copy=False)
+
+
 def to_grayscale(img):
     """Replicate the luminance channel across RGB."""
-    lum = img[..., :3] @ _LUMA.astype(img.dtype)
-    return np.repeat(lum[..., None], 3, axis=-1)
+    return np.repeat(_luma(img)[..., None], 3, axis=-1)
 
 
-def gaussian_blur(img, sigma, kernel_size=23):
-    """Separable Gaussian blur with a fixed truncated kernel."""
-    half = kernel_size // 2
+@functools.lru_cache(maxsize=16)
+def _reflect_index(n, taps):
+    """Flat indices into an (n, n) matrix: row i, column of the source of
+    tap t for output i, under scipy's 'reflect' border (d c b a | a b c d)."""
+    half = taps // 2
+    src = (np.arange(n)[:, None] + np.arange(-half, half + 1)) % (2 * n)
+    src = np.where(src >= n, 2 * n - 1 - src, src)
+    idx = (np.arange(n)[:, None] * n + src).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
+def _blur_matrix(n, kernel):
+    """(n, n) float32 matrix of a centred 1-D ``kernel`` with reflect borders."""
+    m = np.bincount(_reflect_index(n, kernel.size), np.tile(kernel, n),
+                    minlength=n * n).astype(np.float32).reshape(n, n)
+    # far taps of a narrow kernel round to float32 subnormals, which run
+    # the GEMM several times slower than zeros
+    m[m < np.finfo(np.float32).tiny] = 0.0
+    return m
+
+
+def _gaussian_kernel(sigma, size):
+    half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
-    k /= k.sum()
-    out = ndimage.convolve1d(img.astype(np.float32), k, axis=0, mode="reflect")
-    out = ndimage.convolve1d(out, k, axis=1, mode="reflect")
-    return out.astype(img.dtype)
+    return k / k.sum()
+
+
+def gaussian_blur(img, sigma, kernel_size=23, hflip=False):
+    """Separable Gaussian blur with a fixed truncated kernel, as two GEMMs;
+    ``hflip`` also mirrors the result left-right."""
+    k = _gaussian_kernel(sigma, kernel_size)
+    h, w = img.shape[-3:-1]
+    mh = _blur_matrix(h, k)
+    mw = mh if w == h else _blur_matrix(w, k)
+    if hflip:
+        mw = np.ascontiguousarray(mw[::-1])
+    out = _separable(img.astype(np.float32, copy=False), mh, mw)
+    return out.astype(img.dtype, copy=False)
 
 
 def rotate(img, degrees):
     """Rotate around the center, bilinear, borders filled by replication."""
     out = ndimage.rotate(img, degrees, reshape=False, order=1, mode="nearest")
-    return _clip01(out).astype(img.dtype)
+    return _clip01(out).astype(img.dtype, copy=False)
 
 
 def rgb_to_hsv(img):
@@ -127,11 +189,44 @@ def hsv_to_rgb(hsv):
     p = v * (1.0 - s)
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(int) % 6
-    # one flat gather: pixel n's channel c comes from vqpt[n, _SEXTANT[i[n], c]]
+    return _sextant_pick(i.astype(int) % 6, v, q, p, t)
+
+
+def _sextant_pick(i, v, q, p, t):
+    """RGB from hue sextant ``i`` and the planes (v, q, p, t) in one flat
+    gather: pixel n's channel c is (v, q, p, t)[_SEXTANT[i[n], c]][n]."""
     vqpt = np.stack([v, q, p, t], axis=-1)
     flat = np.take(_SEXTANT, i, axis=0) + 4 * np.arange(i.size).reshape(i.shape + (1,))
     return np.take(vqpt, flat)
+
+
+def _shift_hue(img, shift):
+    """Rotate the HSV hue of RGB ``img`` by ``shift`` turns, in img's dtype.
+
+    A hue rotation keeps each pixel's max, min and their difference d; the
+    result is hsv_to_rgb's (v, q, p, t) with s = d / max multiplied out:
+    (max, max - d*f, min, max - d*(1 - f)), picked by the new sextant i and
+    fraction f. Each entry is min or max less a product in [0, max], so it
+    stays in [0, 1] without a clip. Hue is kept in sextants, with whole
+    sextants as integers apart from the fraction, so the image's dtype
+    rounds only the fraction.
+    """
+    r, g, b = img[..., 0], img[..., 1], img[..., 2]
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
+    delta = maxc - minc
+    # sextant offset 0/2/4 by which channel is the max, ties as rgb_to_hsv
+    top_r, top_g = maxc == r, maxc == g
+    base = np.where(top_r, 0, np.where(top_g, 2, 4))
+    num = np.where(top_r, g - b, np.where(top_g, b - r, r - g))
+    # grey pixels have num == 0, and every pick is max == min
+    x = num / np.where(delta > 0, delta, 1)
+    whole = np.floor(6.0 * shift)
+    x += img.dtype.type(6.0 * shift - whole)
+    lo = np.floor(x)
+    f = x - lo
+    i = (lo.astype(int) + base + int(whole)) % 6
+    return _sextant_pick(i, maxc, maxc - delta * f, minc, maxc - delta * (1 - f))
 
 
 def color_jitter(img, rng, brightness=0.0, contrast=0.0, saturation=0.0, hue=0.0):
@@ -146,19 +241,16 @@ def color_jitter(img, rng, brightness=0.0, contrast=0.0, saturation=0.0, hue=0.0
     img = _clip01(img * img.dtype.type(f))
     f = rng.uniform(max(0.0, 1 - contrast), 1 + contrast)
     log["contrast"] = f
-    mean = to_grayscale(img).mean(dtype=np.float64)
-    img = _clip01(f * img + (1 - f) * img.dtype.type(mean)).astype(img.dtype)
+    mean = _luma(img).mean(dtype=np.float64)
+    img = _clip01(f * img + (1 - f) * img.dtype.type(mean))
     f = rng.uniform(max(0.0, 1 - saturation), 1 + saturation)
     log["saturation"] = f
     if saturation > 0:
-        img = _clip01(f * img + (1 - f) * to_grayscale(img)).astype(img.dtype)
+        img = _clip01(f * img + (1 - f) * _luma(img)[..., None])
     shift = rng.uniform(-hue, hue)
     log["hue"] = shift
     if hue > 0:
-        hsv = rgb_to_hsv(img.astype(np.float64))
-        h = hsv[..., 0] + shift
-        hsv[..., 0] = h - np.floor(h)  # h % 1.0, as in rgb_to_hsv
-        img = _clip01(hsv_to_rgb(hsv)).astype(img.dtype)
+        img = _shift_hue(img, shift)
     return img, log
 
 
@@ -265,12 +357,10 @@ def _simclr_view(img, policy, rng, out_size):
         img = to_grayscale(img)
     sigma = rng.uniform(policy.blur_sigma[0], policy.blur_sigma[1])
     log["blur_sigma"] = sigma
-    img = gaussian_blur(img, sigma, policy.blur_kernel)
     flip = rng.random() < policy.flip_p
     log["hflip"] = bool(flip)
-    if flip:
-        img = hflip(img)
-    return _clip01(img).astype(np.float32), log
+    img = gaussian_blur(img, sigma, policy.blur_kernel, hflip=flip)
+    return _clip01(img).astype(np.float32, copy=False), log
 
 
 def simclr_augment(image, policy, rng, out_size=None):
@@ -287,16 +377,9 @@ def simclr_augment(image, policy, rng, out_size=None):
 
 
 def map_augment(fn, items):
-    """Apply ``fn`` over items, parallel when HVT_THREADS > 1.
-
-    Each item must carry its own RngStream, so the result is identical for
-    any worker count; the default of 1 keeps augmentation in-process.
-    """
-    workers = int(os.environ.get("HVT_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Apply ``fn`` to each item in order; each item carries its own
+    RngStream, so no item's output depends on another's."""
+    return [fn(item) for item in items]
 
 
 def finetune_augment(image, policy, rng, out_size=None):
@@ -313,4 +396,4 @@ def finetune_augment(image, policy, rng, out_size=None):
     if policy.rotation_degrees > 0:
         img = rotate(img, angle)
     img, _ = color_jitter(img, rng, policy.brightness, policy.contrast)
-    return _clip01(img).astype(np.float32)
+    return _clip01(img).astype(np.float32, copy=False)

@@ -78,9 +78,21 @@ def _model_from_checkpoint(path, eval_only=True):
     return params, config, meta
 
 
+def _load_container(path, config, labeled=False):
+    """A container whose images the model reads: non-empty, (H, W, 3) at the
+    model's input size, and labeled throughout when ``labeled``."""
+    data = ImageContainer.load(path)
+    if not len(data):
+        raise InputError(f"{path}: container holds no images")
+    if data.image_shape != (*config.input_size, 3):
+        raise InputError(f"{path}: container images {data.image_shape} do not match "
+                         f"model input {(*config.input_size, 3)}")
+    if labeled and data.labels.min() < 0:
+        raise InputError(f"{path}: container has unlabeled images")
+    return data
+
+
 def _predictions(params, config, container, run_cfg):
-    if container.labels.min() < 0:
-        raise InputError("evaluation needs a labeled container")
     mean, std = run_cfg.norm_stats()
     ev = run_cfg.values["eval"]
     if ev["tta"]:
@@ -119,10 +131,7 @@ def cmd_pretrain(args):
     config = run_cfg.model_config()
     settings = run_cfg.pretrain_settings()
     out = _outdir(args)
-    data = ImageContainer.load(args.data)
-    if data.image_shape[:2] != config.input_size:
-        raise InputError(f"container images {data.image_shape[:2]} do not match "
-                         f"model input {config.input_size}")
+    data = _load_container(args.data, config)
     rng = RngStream(args.seed)
     params = init_params(config, rng)
     head = init_projection_head(config.dims[-1], rng,
@@ -180,7 +189,7 @@ def cmd_eval(args):
         if not (args.checkpoint and args.data):
             raise _UsageError("eval needs either --preds or --checkpoint with --data")
         params, config, _ = _model_from_checkpoint(args.checkpoint)
-        container = ImageContainer.load(args.data)
+        container = _load_container(args.data, config, labeled=True)
         preds = _predictions(params, config, container, run_cfg)
         preds.save_csv(os.path.join(out, "predictions.csv"))
     report = classification_metrics(preds)
@@ -213,9 +222,7 @@ def _logits_for_calibration(args, run_cfg):
     mean, std = run_cfg.norm_stats()
 
     def logits_of(path):
-        cont = ImageContainer.load(path)
-        if cont.labels.min() < 0:
-            raise InputError("calibration needs labeled containers")
+        cont = _load_container(path, config, labeled=True)
         x = normalize_images(cont.images, np.asarray(mean), np.asarray(std))
         outs = []
         with no_grad():
@@ -266,7 +273,7 @@ def cmd_rollout(args):
     _run_config(args)
     out = _outdir(args)
     params, config, _ = _model_from_checkpoint(args.checkpoint)
-    container = ImageContainer.load(args.data)
+    container = _load_container(args.data, config)
     if not 0 <= args.index < len(container):
         raise InputError(f"--index {args.index} outside container of {len(container)}")
     image = container.images[args.index]

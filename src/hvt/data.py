@@ -321,4 +321,10 @@ def params_to_arrays(params):
 
 
 def config_from_snapshot(snapshot):
-    return HVTConfig(**snapshot) if snapshot else None
+    """The HVTConfig of a checkpoint's config snapshot (None if it has none)."""
+    if not snapshot:
+        return None
+    try:
+        return HVTConfig(**snapshot)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint config snapshot is not a model config ({e})") from None

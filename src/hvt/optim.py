@@ -50,10 +50,6 @@ class FreezeMask:
         return name in self.frozen
 
     @classmethod
-    def none(cls):
-        return cls()
-
-    @classmethod
     def backbone(cls, params):
         """Freeze everything except the classification head."""
         return cls(k for k in params if not k.startswith("head."))

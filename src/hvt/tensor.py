@@ -90,10 +90,6 @@ class Tensor:
     def _non_scalar(self):
         raise ContractError(f"item() on tensor of shape {self.shape}")
 
-    def detach(self):
-        """Same data, cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{grad})"

@@ -302,6 +302,7 @@ def _gap_features(params, cfg, images):
     return np.concatenate(out)
 
 
+@pytest.mark.slow
 def test_c09_ssl_directional_benefit():
     start = time.monotonic()
     margins = []
@@ -405,6 +406,7 @@ def test_c12_param_count_target():
                 "the stage table and the quoted total are mutually inconsistent")
 
 
+@pytest.mark.slow
 def test_c13_persistence_and_pipeline_reproducibility(tmp_path):
     start = time.monotonic()
     # container + checkpoint round trips

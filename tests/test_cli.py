@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, artifacts, reproducibility."""
 
+import dataclasses
 import json
 import os
 
@@ -165,6 +166,53 @@ class TestEvalAndMcnemar:
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--data", str(data / "test.hvtimg"), "--config", cfg,
                    "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert "kind=CheckpointError" in capsys.readouterr().out
+
+
+class TestContainerChecks:
+    """eval, calibrate and rollout reject a container the model cannot read
+    with InputError (exit 1) before any forward pass."""
+
+    @staticmethod
+    def _container(tmp_path, n, size):
+        path = tmp_path / f"c{n}x{size}.hvtimg"
+        images = np.random.default_rng(0).random((n, size, size, 3), dtype=np.float32)
+        ImageContainer(images, np.arange(n, dtype=np.int32) % 7).save(path)
+        return str(path)
+
+    def _run(self, tmp_path, command, data):
+        cfg = write_cfg(tmp_path)
+        ckpt = str(fresh_checkpoint(tmp_path, cfg))
+        args = {"eval": ["--checkpoint", ckpt, "--data", data],
+                "calibrate": ["--checkpoint", ckpt, "--val", data],
+                "rollout": ["--checkpoint", ckpt, "--data", data]}[command]
+        return main([command, *args, "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate", "rollout"])
+    def test_image_size_other_than_model_input_exits_1(self, tmp_path, capsys, command):
+        rc = self._run(tmp_path, command, self._container(tmp_path, 4, 32))
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "32" in out
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_empty_container_exits_1(self, tmp_path, capsys, command):
+        rc = self._run(tmp_path, command, self._container(tmp_path, 0, 64))
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "no images" in out
+
+    def test_checkpoint_config_with_unknown_key_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        config = RunConfig.load(cfg).model_config()
+        ckpt = tmp_path / "bad.ckpt"
+        snapshot = {**dataclasses.asdict(config), "bogus": 1}
+        save_checkpoint(ckpt, params_to_arrays(init_params(config, RngStream(0))),
+                        snapshot)
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--data", self._container(tmp_path, 2, 64), "--config", cfg,
+                   "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "kind=CheckpointError" in capsys.readouterr().out
 

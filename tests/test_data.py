@@ -243,3 +243,12 @@ class TestCheckpoint:
         path = self._assembled(tmp_path / "list.ckpt", [], [])
         with pytest.raises(CheckpointError, match="header"):
             D.load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [{"bogus": 1}, {"depths": "abc"}],
+                             ids=["unknown-key", "malformed-value"])
+    def test_bad_config_snapshot_is_checkpoint_error(self, tmp_path, change):
+        snapshot = {**D._snapshot_config(HVTConfig.tiny()), **change}
+        path = self._assembled(tmp_path / "cfg.ckpt", {"config": snapshot, "meta": {}}, [])
+        _, config, _ = D.load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="config snapshot"):
+            D.config_from_snapshot(config)

@@ -4,19 +4,20 @@ The references below are the formulations the fused code replaced: a
 ``layer_norm`` built from about ten small nodes (mean, broadcast, subtract,
 square, mean, shift, power, broadcast, multiply, affine), projections as a
 matmul node followed by a separate ``+ bias`` node, a broadcast
-per-channel ``normalize_images``, and one resize call per five-crop. The
-fused code must reproduce them bit for bit, so a checkpoint keeps giving
-the same predictions, calibration and rollout.
+per-channel ``normalize_images``, and one resize call per five-crop (each
+through the current ``resize_bilinear``, which the stacked call must match
+bit for bit). The fused code must reproduce them bit for bit, so a
+checkpoint keeps giving the same predictions, calibration and rollout.
 """
 
 import numpy as np
 import pytest
 
+from hvt import augment as A
 from hvt import finetune as F
 from hvt import tensor as T
 from hvt.data import normalize_images
 from hvt.model import HVTConfig, forward, init_params
-from test_augment_kernels import ref_resize_bilinear
 
 _MATMUL = T.matmul
 
@@ -50,7 +51,7 @@ def ref_five_crop(img, ratio=0.875):
     ch, cw = int(round(ratio * h)), int(round(ratio * w))
     anchors = [(0, 0), (0, w - cw), (h - ch, 0), (h - ch, w - cw),
                ((h - ch) // 2, (w - cw) // 2)]
-    return [ref_resize_bilinear(img[i:i + ch, j:j + cw], h, w) for i, j in anchors]
+    return [A.resize_bilinear(img[i:i + ch, j:j + cw], h, w) for i, j in anchors]
 
 
 def use_reference_engine(monkeypatch):

@@ -245,19 +245,6 @@ class TestPretrainLoop:
         assert header == "step,epoch,lr,loss"
 
 
-class TestThreadedAugmentation:
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        settings = S.PretrainSettings(epochs=1, batch_size=4, accum_steps=1,
-                                      warmup_epochs=0.25, max_steps=2)
-        curves = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("HVT_THREADS", threads)
-            cfg, params, head, images = _tiny_setup(seed=9)
-            res = S.pretrain_loop(params, head, images, cfg, settings, RngStream(2))
-            curves.append([row["loss"] for row in res.log])
-        assert curves[0] == curves[1]
-
-
 class TestLinearProbe:
     def test_separable_features(self):
         rng = np.random.default_rng(0)
