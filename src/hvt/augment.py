@@ -17,7 +17,7 @@ replication.
 Kernels: resize and blur are separable linear maps, applied as two float32
 matrix products each (``_separable``); the hue shift works on each pixel's
 max, min and hue sextant in the image's own dtype, without an HSV round
-trip. Their output may be laid out channel-planar; every result reads as
+trip. Resize and blur return channel-planar memory; every result reads as
 ``(..., H, W, C)``.
 """
 
@@ -42,19 +42,13 @@ def _separable(img, my, mx):
     """``my`` along the rows and ``mx`` along the columns of ``(..., h, w, C)``
     images, as two GEMMs and no transpose copy.
 
-    Each GEMM contracts the first or last axis of the memory and puts its
-    output axis at the other end, so the memory order rotates: channels-last
-    (y, x, C) memory comes out channel-planar (C, y, x), and planar memory
-    comes out channels-last. Either way the result reads as (..., H, W, C).
+    Each GEMM contracts the first axis of the memory and puts its output
+    axis last, so the memory order rotates from channels-last (y, x, C) to
+    channel-planar (C, y, x); the result is a view that reads as
+    (..., H, W, C). Input in any other layout is copied to channels-last.
     """
     *lead, h, w, c = img.shape
     out_h, out_w = my.shape[0], mx.shape[0]
-    planar = img.swapaxes(-1, -3).swapaxes(-1, -2)  # (..., C, h, w) view
-    if planar.flags.c_contiguous:
-        # (C, y, x) -> (x', C, y) -> (y', x', C)
-        t = mx @ planar.reshape(*lead, c * h, w).swapaxes(-1, -2)
-        out = my @ t.reshape(*lead, out_w * c, h).swapaxes(-1, -2)
-        return out.reshape(*lead, out_h, out_w, c)
     # (y, x, C) -> (x, C, y') -> (C, y', x')
     t = img.reshape(*lead, h, w * c).swapaxes(-1, -2) @ my.T
     out = t.reshape(*lead, w, c * out_h).swapaxes(-1, -2) @ mx.T
