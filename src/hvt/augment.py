@@ -15,10 +15,12 @@ fixed 23-tap kernel with reflect padding; rotation fills borders by edge
 replication.
 
 Kernels: resize and blur are separable linear maps, applied as two float32
-matrix products each (``_separable``); the hue shift works on each pixel's
-max, min and hue sextant in the image's own dtype, without an HSV round
-trip. Resize and blur return channel-planar memory; every result reads as
-``(..., H, W, C)``.
+matrix products each (``_separable``). The fine-tuning view's crop, flips
+and rotation are one inverse-affine bilinear gather from the source image
+(``_affine_view``). The hue shift works on each pixel's max, min and hue
+sextant in the image's own dtype, without an HSV round trip. Resize, blur,
+the gather and the hue shift return channel-planar memory; every result
+reads as ``(..., H, W, C)``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, InputError
 
@@ -146,9 +147,79 @@ def gaussian_blur(img, sigma, kernel_size=23, hflip=False):
     return out.astype(img.dtype, copy=False)
 
 
+def _affine_axis(n_out, n_crop, start, flip):
+    """``(a, b, lo, hi)``: along one axis, the source coordinate of a rotated
+    output coordinate ``r`` is ``clip(a * r + b, lo, hi)``.
+
+    That folds three steps into one affine map and one clamp: ``r`` clamped
+    to ``[0, n_out - 1]`` (edge replication), the flip ``r -> n_out - 1 - r``,
+    and the crop's half-pixel resize ``(r + 0.5) * n_crop / n_out - 0.5``
+    clamped to the crop, which starts at ``start``. The two clamps meet for
+    every crop of at least one pixel, so their intersection is one clamp.
+    """
+    k = n_crop / n_out
+    a, b = (-k, (n_out - 0.5) * k - 0.5) if flip else (k, 0.5 * k - 0.5)
+    b += start
+    lo, hi = sorted((b, a * (n_out - 1) + b))
+    return a, b, max(lo, start), min(hi, start + n_crop - 1)
+
+
+def _affine_view(img, box, out_size, hflip=False, vflip=False, degrees=0.0):
+    """Crop ``box`` = (top, left, rows, cols) of ``(h, w, C)`` ``img``, resized
+    to ``out_size``, flipped, then rotated by ``degrees`` about the output
+    centre with edge replication, as one bilinear gather from ``img``.
+
+    Output pixel (y, x) rotates to (cos*dy + sin*dx, cos*dx - sin*dy) about
+    the centre (the sense of ``ndimage.rotate``), is clamped to the output
+    grid, flipped, mapped through the crop's resize (see ``_affine_axis``),
+    and reads the source there bilinearly. Coordinates are float64; the
+    blend runs in float32 (or img's wider dtype).
+    """
+    h, w, c = img.shape
+    top, left, ch, cw = box
+    out_h, out_w = out_size
+    theta = np.deg2rad(degrees)
+    cos, sin = np.cos(theta), np.sin(theta)
+    dy = np.arange(out_h) - (out_h - 1) / 2
+    dx = np.arange(out_w) - (out_w - 1) / 2
+    ay, by, y_lo, y_hi = _affine_axis(out_h, ch, top, vflip)
+    ax, bx, x_lo, x_hi = _affine_axis(out_w, cw, left, hflip)
+    sy = np.add.outer(ay * (cos * dy + (out_h - 1) / 2) + by, ay * sin * dx)
+    sx = np.add.outer(-ax * sin * dy, ax * (cos * dx + (out_w - 1) / 2) + bx)
+    np.clip(sy, y_lo, y_hi, out=sy)
+    np.clip(sx, x_lo, x_hi, out=sx)
+    dtype = np.result_type(img.dtype, np.float32)
+    y0, x0 = np.floor(sy), np.floor(sx)
+    fy, fx = (sy - y0).astype(dtype), (sx - x0).astype(dtype)
+    y0, x0 = y0.astype(np.intp), x0.astype(np.intp)
+    # channel-planar source with a zero row and column past the edge: a
+    # corner there is read only at weight 0 (a coordinate on the last row
+    # or column has fraction 0), and every index stays valid
+    src = np.zeros((c, h + 1, w + 1), dtype)
+    src[:, :h, :w] = np.moveaxis(img, -1, 0)
+    src = src.reshape(c, -1)
+    y0 *= w + 1
+    y0 += x0
+    # flat take per corner: 2-D fancy indexing is several times slower
+    nw, ne = src.take(y0, axis=1), src.take(y0 + 1, axis=1)
+    sw, se = src.take(y0 + (w + 1), axis=1), src.take(y0 + (w + 2), axis=1)
+    ne -= nw
+    ne *= fx
+    nw += ne
+    se -= sw
+    se *= fx
+    sw += se
+    sw -= nw
+    sw *= fy
+    nw += sw
+    return np.moveaxis(nw.reshape(c, out_h, out_w), 0, -1)
+
+
 def rotate(img, degrees):
-    """Rotate around the center, bilinear, borders filled by replication."""
-    out = ndimage.rotate(img, degrees, reshape=False, order=1, mode="nearest")
+    """Rotate around the center, bilinear, borders filled by replication:
+    ``ndimage.rotate(img, degrees, reshape=False, order=1, mode="nearest")``."""
+    h, w = img.shape[:2]
+    out = _affine_view(img, (0, 0, h, w), (h, w), degrees=degrees)
     return _clip01(out).astype(img.dtype, copy=False)
 
 
@@ -194,16 +265,21 @@ def _sextant_pick(i, v, q, p, t):
     return np.take(vqpt, flat)
 
 
+# per channel (r, g, b) of a pixel at hue sextant x in [0, 6): the channel
+# is max - d * clip(s * |x - c| + o, 0, 1), hsv_to_rgb with s = d / max
+_HUE_C = np.array([3.0, 2.0, 4.0]).reshape(3, 1, 1)
+_HUE_S = np.array([-1.0, 1.0, 1.0]).reshape(3, 1, 1)
+_HUE_O = np.array([2.0, -1.0, -1.0]).reshape(3, 1, 1)
+
+
 def _shift_hue(img, shift):
     """Rotate the HSV hue of RGB ``img`` by ``shift`` turns, in img's dtype.
 
-    A hue rotation keeps each pixel's max, min and their difference d; the
-    result is hsv_to_rgb's (v, q, p, t) with s = d / max multiplied out:
-    (max, max - d*f, min, max - d*(1 - f)), picked by the new sextant i and
-    fraction f. Each entry is min or max less a product in [0, max], so it
-    stays in [0, 1] without a clip. Hue is kept in sextants, with whole
-    sextants as integers apart from the fraction, so the image's dtype
-    rounds only the fraction.
+    A hue rotation keeps each pixel's max, min and their difference d. The
+    new hue, in sextants x = 6H' wrapped to [0, 6), sets each channel by the
+    piecewise-linear form at ``_HUE_C``, computed for all three channels in
+    one pass over a channel-planar stack. Each channel is max less a
+    product in [0, max], so it stays in [0, 1] without a clip.
     """
     r, g, b = img[..., 0], img[..., 1], img[..., 2]
     maxc = np.maximum(np.maximum(r, g), b)
@@ -211,16 +287,23 @@ def _shift_hue(img, shift):
     delta = maxc - minc
     # sextant offset 0/2/4 by which channel is the max, ties as rgb_to_hsv
     top_r, top_g = maxc == r, maxc == g
-    base = np.where(top_r, 0, np.where(top_g, 2, 4))
     num = np.where(top_r, g - b, np.where(top_g, b - r, r - g))
-    # grey pixels have num == 0, and every pick is max == min
+    # grey pixels have num == 0 and d == 0, so every channel is max
     x = num / np.where(delta > 0, delta, 1)
     whole = np.floor(6.0 * shift)
     x += img.dtype.type(6.0 * shift - whole)
-    lo = np.floor(x)
-    f = x - lo
-    i = (lo.astype(int) + base + int(whole)) % 6
-    return _sextant_pick(i, maxc, maxc - delta * f, minc, maxc - delta * (1 - f))
+    # whole sextants (offset plus shift) in 1..6 put x in [0, 8)
+    k_r, k_g, k_b = (img.dtype.type((base + whole - 1) % 6 + 1) for base in (0, 2, 4))
+    x += np.where(top_r, k_r, np.where(top_g, k_g, k_b))
+    np.subtract(x, 6, out=x, where=x >= 6)
+    t = x - _HUE_C.astype(img.dtype, copy=False)
+    np.abs(t, out=t)
+    t *= _HUE_S.astype(img.dtype, copy=False)
+    t += _HUE_O.astype(img.dtype, copy=False)
+    np.clip(t, 0, 1, out=t)
+    t *= delta
+    np.subtract(maxc, t, out=t)
+    return np.moveaxis(t, 0, -1)
 
 
 def color_jitter(img, rng, brightness=0.0, contrast=0.0, saturation=0.0, hue=0.0):
@@ -248,17 +331,16 @@ def color_jitter(img, rng, brightness=0.0, contrast=0.0, saturation=0.0, hue=0.0
     return img, log
 
 
-def random_resized_crop(img, rng, scale, ratio, out_size):
-    """Area/aspect-sampled crop resized to ``out_size`` (rows, cols).
+def _crop_box(h, w, rng, scale, ratio):
+    """``(top, left, rows, cols)`` of an area/aspect-sampled crop of an
+    ``h`` x ``w`` image.
 
     Ten proposals are tried; if none fits, falls back to the largest
     centered crop with aspect clamped into ``ratio``.
     """
-    h, w = img.shape[:2]
     if scale[0] > scale[1] or scale[0] <= 0:
         raise ConfigError(f"bad crop scale {scale}")
     area = h * w
-    box = None
     for _ in range(10):
         target = area * rng.uniform(scale[0], scale[1])
         aspect = np.exp(rng.uniform(np.log(ratio[0]), np.log(ratio[1])))
@@ -267,20 +349,22 @@ def random_resized_crop(img, rng, scale, ratio, out_size):
         if 0 < cw <= w and 0 < ch <= h:
             i = int(rng.integers(0, h - ch + 1))
             j = int(rng.integers(0, w - cw + 1))
-            box = (i, j, ch, cw)
-            break
-    if box is None:
-        in_ratio = w / h
-        if in_ratio < ratio[0]:
-            cw, ch = w, min(h, int(round(w / ratio[0])))
-        elif in_ratio > ratio[1]:
-            ch, cw = h, min(w, int(round(h * ratio[1])))
-        else:
-            cw, ch = w, h
-        box = ((h - ch) // 2, (w - cw) // 2, ch, cw)
-    i, j, ch, cw = box
-    crop = img[i:i + ch, j:j + cw]
-    return resize_bilinear(crop, out_size[0], out_size[1]), box
+            return i, j, ch, cw
+    in_ratio = w / h
+    if in_ratio < ratio[0]:
+        cw, ch = w, min(h, int(round(w / ratio[0])))
+    elif in_ratio > ratio[1]:
+        ch, cw = h, min(w, int(round(h * ratio[1])))
+    else:
+        cw, ch = w, h
+    return (h - ch) // 2, (w - cw) // 2, ch, cw
+
+
+def random_resized_crop(img, rng, scale, ratio, out_size):
+    """Area/aspect-sampled crop (``_crop_box``) resized to ``out_size``
+    (rows, cols); returns (image, box)."""
+    i, j, ch, cw = box = _crop_box(*img.shape[:2], rng, scale, ratio)
+    return resize_bilinear(img[i:i + ch, j:j + cw], out_size[0], out_size[1]), box
 
 
 def five_crop(img, ratio=0.875):
@@ -377,17 +461,16 @@ def map_augment(fn, items):
 
 
 def finetune_augment(image, policy, rng, out_size=None):
-    """One augmented training image under the supervised policy."""
+    """One augmented training image under the supervised policy. The crop,
+    flips and rotation are drawn in that order and applied as one resample
+    (``_affine_view``), then the jitter."""
     image = np.asarray(image, dtype=np.float32)
     out_size = out_size or image.shape[:2]
-    img, _ = random_resized_crop(image, rng, policy.crop_scale,
-                                 policy.crop_ratio, out_size)
-    if rng.random() < policy.hflip_p:
-        img = hflip(img)
-    if rng.random() < policy.vflip_p:
-        img = vflip(img)
+    box = _crop_box(*image.shape[:2], rng, policy.crop_scale, policy.crop_ratio)
+    flip_h = rng.random() < policy.hflip_p
+    flip_v = rng.random() < policy.vflip_p
     angle = rng.uniform(-policy.rotation_degrees, policy.rotation_degrees)
-    if policy.rotation_degrees > 0:
-        img = rotate(img, angle)
+    img = _affine_view(image, box, out_size, flip_h, flip_v,
+                       angle if policy.rotation_degrees > 0 else 0.0)
     img, _ = color_jitter(img, rng, policy.brightness, policy.contrast)
     return _clip01(img).astype(np.float32, copy=False)

@@ -78,15 +78,18 @@ def _model_from_checkpoint(path, eval_only=True):
     return params, config, meta
 
 
-def _load_container(path, config, labeled=False):
+def _load_container(path, config, labeled=False, any_size=False):
     """A container whose images the model reads: non-empty, (H, W, 3) at the
-    model's input size, and labeled throughout when ``labeled``."""
+    model's input size (at any size when ``any_size``: the fine-tuning
+    augmentation resamples every view to it), and labeled throughout when
+    ``labeled``."""
     data = ImageContainer.load(path)
     if not len(data):
         raise InputError(f"{path}: container holds no images")
-    if data.image_shape != (*config.input_size, 3):
+    model_input = (*config.input_size, 3)
+    if data.image_shape[-1] != 3 or not (any_size or data.image_shape == model_input):
         raise InputError(f"{path}: container images {data.image_shape} do not match "
-                         f"model input {(*config.input_size, 3)}")
+                         f"model input {model_input}")
     if labeled and data.labels.min() < 0:
         raise InputError(f"{path}: container has unlabeled images")
     return data
@@ -153,8 +156,9 @@ def cmd_finetune(args):
     config = run_cfg.model_config()
     settings = run_cfg.finetune_settings()
     out = _outdir(args)
-    train = ImageContainer.load(args.train)
-    val = ImageContainer.load(args.val)
+    train = _load_container(args.train, config, labeled=True,
+                            any_size=settings.policy is not None)
+    val = _load_container(args.val, config, labeled=True)
     rng = RngStream(args.seed)
     params = init_params(config, rng)
     if args.init:
@@ -248,6 +252,9 @@ def cmd_calibrate(args):
         "temperature": t_star,
         "degenerate": degenerate,
         "at_bound": temperature_at_bound(t_star),
+        # with every prediction right, NLL falls as T shrinks: a T* at the
+        # lower edge is then the answer, not a failed search
+        "val_all_correct": bool((np.argmax(val_logits, axis=1) == val_y).all()),
         "val_nll_before": nll(val_logits, val_y, 1.0),
         "val_nll_after": nll(val_logits, val_y, t_star),
         "val_ece_before": ece(PredictionSet.from_probs(
@@ -264,6 +271,7 @@ def cmd_calibrate(args):
     with open(os.path.join(out, "calibration.json"), "w") as f:
         f.write(json.dumps(payload, sort_keys=True, indent=2))
     emit(event="calibrate_done", temperature=t_star, at_bound=payload["at_bound"],
+         val_all_correct=payload["val_all_correct"],
          val_ece_before=payload["val_ece_before"],
          val_ece_after=payload["val_ece_after"])
     return 0

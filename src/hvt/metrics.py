@@ -10,7 +10,6 @@ minimizing NLL (never ECE directly).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -104,9 +103,6 @@ class MetricsReport:
                 "per_class": self.per_class,
                 "confusion": self.confusion.tolist(),
                 "n": self.n}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def classification_metrics(preds):

@@ -2,13 +2,17 @@
 
 The reference bodies below are plain numpy formulations: a float64
 bilinear resize by per-corner row gathers, a float64 ``ndimage.convolve1d``
-blur followed by a flip, and the HSV round trip with a channel-axis
-max/min, float ``% 1.0`` and one boolean-mask scatter per hue sextant and
-channel. ``rgb_to_hsv`` and ``hsv_to_rgb`` must reproduce theirs bit for
-bit. Resize and blur are float32 matrix products and the hue shift runs in
-float32, so they, and the SimCLR and fine-tuning views built from them, are
-held to the float64 forms within ``TOL``; the draw logs stay exact.
+blur followed by a flip, the HSV round trip with a channel-axis max/min,
+float ``% 1.0`` and one boolean-mask scatter per hue sextant and channel,
+and the fine-tuning view's crop, flips and rotation worked out one output
+pixel at a time. ``rgb_to_hsv`` and ``hsv_to_rgb`` must reproduce theirs
+bit for bit. Resize and blur are float32 matrix products, the fine-tuning
+view is a float32 bilinear gather and the hue shift runs in float32, so
+they, and the SimCLR and fine-tuning views built from them, are held to the
+float64 forms within ``TOL``; the draw logs stay exact.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +117,84 @@ def ref_shift_hue(img, shift):
     hsv = ref_rgb_to_hsv(img.astype(np.float64))
     hsv[..., 0] = (hsv[..., 0] + shift) % 1.0
     return A._clip01(ref_hsv_to_rgb(hsv))
+
+
+def ref_affine_view(img, box, out_size, hflip=False, vflip=False, degrees=0.0):
+    """The fine-tuning view of ``img`` in float64, one output pixel at a time:
+    rotate the pixel about the output centre as ``ndimage.rotate`` does and
+    clamp it to the output grid, flip it, map it through the crop's
+    half-pixel resize clamped to the crop, and read the source bilinearly."""
+    img = img.astype(np.float64)
+    h, w = img.shape[:2]
+    top, left, ch, cw = box
+    out_h, out_w = out_size
+    cy, cx = (out_h - 1) / 2, (out_w - 1) / 2
+    cos, sin = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    out = np.empty((out_h, out_w, img.shape[2]))
+    for y in range(out_h):
+        for x in range(out_w):
+            ry = min(max(cos * (y - cy) + sin * (x - cx) + cy, 0.0), out_h - 1.0)
+            rx = min(max(-sin * (y - cy) + cos * (x - cx) + cx, 0.0), out_w - 1.0)
+            if vflip:
+                ry = out_h - 1 - ry
+            if hflip:
+                rx = out_w - 1 - rx
+            sy = top + min(max((ry + 0.5) * ch / out_h - 0.5, 0.0), ch - 1.0)
+            sx = left + min(max((rx + 0.5) * cw / out_w - 0.5, 0.0), cw - 1.0)
+            y0, x0 = math.floor(sy), math.floor(sx)
+            y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
+            fy, fx = sy - y0, sx - x0
+            out[y, x] = ((1 - fy) * ((1 - fx) * img[y0, x0] + fx * img[y0, x1])
+                         + fy * ((1 - fx) * img[y1, x0] + fx * img[y1, x1]))
+    return out
+
+
+def ref_finetune_augment(image, policy, rng, out_size=None):
+    """``finetune_augment`` from the per-pixel view and the reference jitter."""
+    out_size = out_size or image.shape[:2]
+    box = A._crop_box(*image.shape[:2], rng, policy.crop_scale, policy.crop_ratio)
+    flip_h = rng.random() < policy.hflip_p
+    flip_v = rng.random() < policy.vflip_p
+    angle = rng.uniform(-policy.rotation_degrees, policy.rotation_degrees)
+    view = ref_affine_view(image, box, out_size, flip_h, flip_v,
+                           angle if policy.rotation_degrees > 0 else 0.0)
+    view, _ = ref_color_jitter(view, rng, policy.brightness, policy.contrast)
+    return np.clip(view, 0.0, 1.0)
+
+
+def two_pass_finetune_augment(image, policy, rng, out_size=None):
+    """The supervised view as two resamplings, in the same draw order: the
+    crop resized, flipped copies, then ``ndimage.rotate`` of the result."""
+    image = np.asarray(image, dtype=np.float32)
+    out_size = out_size or image.shape[:2]
+    img, _ = A.random_resized_crop(image, rng, policy.crop_scale,
+                                   policy.crop_ratio, out_size)
+    if rng.random() < policy.hflip_p:
+        img = img[:, ::-1]
+    if rng.random() < policy.vflip_p:
+        img = img[::-1]
+    angle = rng.uniform(-policy.rotation_degrees, policy.rotation_degrees)
+    if policy.rotation_degrees > 0:
+        img = ndimage.rotate(img, angle, reshape=False, order=1, mode="nearest")
+    img, _ = A.color_jitter(img, rng, policy.brightness, policy.contrast)
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+class RecordingStream:
+    """Wraps an ``RngStream`` and records every draw: (method, args, kwargs,
+    result)."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.inner, name)
+
+        def draw(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.calls.append((name, args, kwargs, out))
+            return out
+        return draw
 
 
 def use_reference_kernels(monkeypatch):
@@ -252,13 +334,27 @@ class TestBitIdenticalToReference:
         # both flip branches ran
         assert {g.params_a["hflip"] for g in got} == {False, True}
 
-    def test_finetune_augment(self, monkeypatch):
-        imgs = desk_images(8)
+    def test_finetune_augment(self):
+        # desk and tie-heavy images at the model size, and non-square
+        # sources to a non-square output
         policy = A.FinetunePolicy()
-        got = [A.finetune_augment(img, policy, RngStream(13, i)) for i, img in enumerate(imgs)]
-        use_reference_kernels(monkeypatch)
-        want = [A.finetune_augment(img, policy, RngStream(13, i)) for i, img in enumerate(imgs)]
-        assert all(max_err(g, w) <= TOL for g, w in zip(got, want))
+        cases = [(img, None) for img in desk_images(4)]
+        cases += [(img, None) for img in tricky_images(2, size=48, seed=8)]
+        rect = np.random.default_rng(9).random((3, 37, 52, 3)).astype(np.float32)
+        cases += [(img, (29, 41)) for img in rect]
+        flips, angles = set(), []
+        for i, (img, out) in enumerate(cases):
+            rec = RecordingStream(RngStream(13, i))
+            got = A.finetune_augment(img, policy, rec, out_size=out)
+            want = ref_finetune_augment(img, policy, RngStream(13, i), out_size=out)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert max_err(got, want) <= TOL
+            (_, _, _, h), (_, _, _, v), (_, _, _, angle) = rec.calls[-7:-4]
+            flips |= {(h < policy.hflip_p, v < policy.vflip_p)}
+            angles.append(angle)
+        # every flip combination ran, with rotations both ways
+        assert len(flips) == 4
+        assert min(angles) < -5 and max(angles) > 5
 
 
 class TestMatrixKernels:
@@ -325,3 +421,100 @@ class TestMatrixKernels:
                 wrapped_below |= bool((hue + shift < 0).any())
                 wrapped_above |= bool((hue + shift >= 1).any())
         assert wrapped_below and wrapped_above
+
+
+class TestFinetuneView:
+    """The fine-tuning view's crop, flips and rotation as one bilinear gather
+    (``_affine_view``), against its per-pixel float64 form, ``ndimage.rotate``
+    and the crop resize; its draws, against the two-pass form's."""
+
+    # (flip_h, flip_v, degrees) per box: no flip or turn, each flip alone
+    # with either limit of the turn, both flips, and turns in between
+    MOVES = [(False, False, 0.0), (True, False, 15.0), (False, True, -15.0),
+             (True, True, 7.3), (False, False, -11.1), (True, True, 0.0)]
+
+    @staticmethod
+    def boxes(h, w):
+        """Full image, interior, touching the bottom-right corner, and the
+        centred fallback box that ``_crop_box`` takes when no proposal fits."""
+        fallback = A._crop_box(h, w, RngStream(0), (1.0, 1.0), (2.5, 3.0))
+        return [(0, 0, h, w), (2, 3, h - 5, w - 7), (h - 9, w - 6, 9, 6), fallback]
+
+    @pytest.mark.parametrize("shape,out", [((48, 48), (48, 48)), ((30, 47), (24, 36)),
+                                           ((21, 16), (32, 40))])
+    def test_against_per_pixel_reference(self, shape, out):
+        img = np.random.default_rng(30).random(shape + (3,)).astype(np.float32)
+        for box in self.boxes(*shape):
+            for flip_h, flip_v, degrees in self.MOVES:
+                got = A._affine_view(img, box, out, flip_h, flip_v, degrees)
+                assert got.dtype == np.float32 and got.shape == out + (3,)
+                want = ref_affine_view(img, box, out, flip_h, flip_v, degrees)
+                assert max_err(got, want) <= TOL, (box, flip_h, flip_v, degrees)
+
+    def test_fallback_box_is_centred(self):
+        # no proposal can fit a 2.5-3.0 aspect at full area of a 30x47 image
+        rec = RecordingStream(RngStream(0))
+        assert A._crop_box(30, 47, rec, (1.0, 1.0), (2.5, 3.0)) == (5, 0, 19, 47)
+        assert [c[0] for c in rec.calls] == ["uniform"] * 20
+
+    @pytest.mark.parametrize("shape", [(64, 64), (17, 23), (40, 31)])
+    def test_rotate_matches_ndimage(self, shape):
+        img = np.random.default_rng(31).random(shape + (3,)).astype(np.float32)
+        for degrees in (0.0, 15.0, -15.0, 7.3, -33.0, 90.0):
+            got = A.rotate(img, degrees)
+            want = ndimage.rotate(img.astype(np.float64), degrees, reshape=False,
+                                  order=1, mode="nearest")
+            assert got.dtype == np.float32 and got.shape == img.shape
+            assert max_err(got, want) <= TOL, degrees
+
+    @pytest.mark.parametrize("shape,out", [((64, 64), (64, 64)), ((30, 47), (24, 36))])
+    def test_no_rotation_is_crop_resize_then_flips(self, shape, out):
+        img = np.random.default_rng(32).random(shape + (3,)).astype(np.float32)
+        for i, j, ch, cw in self.boxes(*shape):
+            resized = A.resize_bilinear(img[i:i + ch, j:j + cw], *out)
+            for flip_h, flip_v in ((False, False), (True, False), (False, True), (True, True)):
+                want = resized[::-1 if flip_v else 1, ::-1 if flip_h else 1]
+                got = A._affine_view(img, (i, j, ch, cw), out, flip_h, flip_v, 0.0)
+                assert max_err(got, want) <= TOL
+        # the whole view too, under a policy that does not rotate
+        policy = A.FinetunePolicy(rotation_degrees=0.0)
+        for k, src in enumerate(desk_images(4)):
+            got = A.finetune_augment(src, policy, RngStream(33, k))
+            want = two_pass_finetune_augment(src, policy, RngStream(33, k))
+            assert max_err(got, want) <= TOL
+
+    @pytest.mark.parametrize("policy", [
+        A.FinetunePolicy(),
+        # no crop proposal fits: ten of them, then the centred fallback box
+        A.FinetunePolicy(crop_scale=(1.0, 1.0), crop_ratio=(2.5, 3.0)),
+    ], ids=["proposal", "fallback"])
+    def test_draw_order(self, policy):
+        for k, src in enumerate(desk_images(6)):
+            fused, two_pass = RecordingStream(RngStream(34, k)), RecordingStream(RngStream(34, k))
+            A.finetune_augment(src, policy, fused)
+            two_pass_finetune_augment(src, policy, two_pass)
+            assert fused.calls == two_pass.calls
+            # crop proposals, then hflip, vflip, angle, brightness, contrast
+            # (and the jitter's saturation and hue factors, drawn at strength 0)
+            names = [(name, args) for name, args, _, _ in fused.calls]
+            s, r = policy.crop_scale, (np.log(policy.crop_ratio[0]), np.log(policy.crop_ratio[1]))
+            deg, b, c = policy.rotation_degrees, policy.brightness, policy.contrast
+            assert names[-7:] == [("random", ()), ("random", ()), ("uniform", (-deg, deg)),
+                                  ("uniform", (1 - b, 1 + b)), ("uniform", (1 - c, 1 + c)),
+                                  ("uniform", (1.0, 1.0)), ("uniform", (-0.0, 0.0))]
+            crop = names[:-7]
+            fallback = policy.crop_scale == (1.0, 1.0)
+            if not fallback:
+                assert [name for name, _ in crop[-2:]] == ["integers", "integers"]
+                crop = crop[:-2]
+            assert crop == [("uniform", s), ("uniform", r)] * (10 if fallback else len(crop) // 2)
+
+    def test_crop_box_matches_random_resized_crop(self):
+        for policy in (A.SimclrPolicy(), A.FinetunePolicy(),
+                       A.FinetunePolicy(crop_scale=(1.0, 1.0), crop_ratio=(2.5, 3.0))):
+            for k, img in enumerate(desk_images(6)):
+                a, b = RecordingStream(RngStream(35, k)), RecordingStream(RngStream(35, k))
+                box = A._crop_box(*img.shape[:2], a, policy.crop_scale, policy.crop_ratio)
+                _, want = A.random_resized_crop(img, b, policy.crop_scale,
+                                                policy.crop_ratio, (32, 32))
+                assert box == want and a.calls == b.calls

@@ -171,8 +171,8 @@ class TestEvalAndMcnemar:
 
 
 class TestContainerChecks:
-    """eval, calibrate and rollout reject a container the model cannot read
-    with InputError (exit 1) before any forward pass."""
+    """eval, calibrate, rollout and finetune reject a container the model
+    cannot read with InputError (exit 1) before any forward pass."""
 
     @staticmethod
     def _container(tmp_path, n, size):
@@ -203,6 +203,38 @@ class TestContainerChecks:
         assert rc == 1
         assert "kind=InputError" in out and "no images" in out
 
+    def _finetune(self, tmp_path, train, val, extra=""):
+        return main(["finetune", "--train", train, "--val", val,
+                     "--config", write_cfg(tmp_path, extra), "--out", str(tmp_path / "o")])
+
+    def test_finetune_val_of_other_size_exits_1(self, tmp_path, capsys):
+        rc = self._finetune(tmp_path, self._container(tmp_path, 8, 64),
+                            self._container(tmp_path, 4, 32))
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "c4x32" in out
+
+    def test_finetune_empty_train_exits_1(self, tmp_path, capsys):
+        rc = self._finetune(tmp_path, self._container(tmp_path, 0, 64),
+                            self._container(tmp_path, 4, 64))
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "c0x64" in out and "no images" in out
+
+    def test_finetune_train_of_other_size_without_augmentation_exits_1(self, tmp_path, capsys):
+        rc = self._finetune(tmp_path, self._container(tmp_path, 8, 48),
+                            self._container(tmp_path, 4, 64), extra="augment = false\n")
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "c8x48" in out
+
+    def test_finetune_train_of_other_size_with_augmentation_exits_0(self, tmp_path, capsys):
+        # the augmentation resamples every training view to the model input
+        rc = self._finetune(tmp_path, self._container(tmp_path, 8, 48),
+                            self._container(tmp_path, 4, 64))
+        assert rc == 0
+        assert "event=finetune_done" in capsys.readouterr().out
+
     def test_checkpoint_config_with_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         config = RunConfig.load(cfg).model_config()
@@ -218,7 +250,7 @@ class TestContainerChecks:
 
 
 class TestCalibrate:
-    def test_from_prediction_csvs(self, tmp_path):
+    def test_from_prediction_csvs(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         n, c = 400, 4
         logits = rng.normal(size=(n, c)) * 2.0
@@ -237,6 +269,9 @@ class TestCalibrate:
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["temperature"] > 1.5  # sharpened by 3x, T* near 3
         assert payload["at_bound"] is False
+        # labels drawn from the probabilities: some predictions are wrong
+        assert payload["val_all_correct"] is False
+        assert "val_all_correct=False" in capsys.readouterr().out
         assert payload["val_nll_after"] <= payload["val_nll_before"]
         assert (out / "test_predictions_calibrated.csv").exists()
 
@@ -254,7 +289,10 @@ class TestCalibrate:
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["at_bound"] is True and payload["degenerate"] is False
         assert abs(payload["temperature"] - np.exp(-3.0)) < 1e-3 * np.exp(-3.0)
-        assert "at_bound=True" in capsys.readouterr().out
+        # every prediction is right, which is why the lower edge is the answer
+        assert payload["val_all_correct"] is True
+        out_text = capsys.readouterr().out
+        assert "at_bound=True" in out_text and "val_all_correct=True" in out_text
 
 
 class TestFullPipeline:

@@ -1,5 +1,6 @@
 """Metrics, McNemar, ECE, temperature scaling."""
 
+import json
 import math
 
 import numpy as np
@@ -47,9 +48,14 @@ class TestClassificationMetrics:
             assert rep.per_class[k]["support"] == np.sum(y_true == k)
 
     def test_report_json_stable(self):
-        p = preds_from_pairs([0, 1], [0, 1], 2)
-        rep = M.classification_metrics(p)
-        assert rep.to_json() == M.classification_metrics(p).to_json()
+        # to_dict() is what `hvt eval` writes as metrics.json: plain JSON
+        # values that round-trip, and the same text for the same predictions
+        p = preds_from_pairs([0, 1, 1], [0, 1, 0], 2)
+        d = M.classification_metrics(p).to_dict()
+        text = json.dumps(d, sort_keys=True, indent=2)
+        assert json.loads(text) == d
+        assert text == json.dumps(M.classification_metrics(p).to_dict(), sort_keys=True, indent=2)
+        assert d["confusion"] == [[1, 0], [1, 1]] and d["n"] == 3
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(InputError):
