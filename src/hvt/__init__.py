@@ -20,7 +20,7 @@ from .metrics import (MetricsReport, PredictionSet, apply_temperature,
                       classification_metrics, ece, fit_temperature,
                       mcnemar_test, reliability_bins)
 from .data import (ImageContainer, generate_synthetic, load_checkpoint,
-                   save_checkpoint, stratified_split)
+                   load_model, save_checkpoint, stratified_split)
 from .config import RunConfig
 
 __version__ = "0.1.0"

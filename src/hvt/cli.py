@@ -19,18 +19,17 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .data import (ImageContainer, config_from_snapshot, generate_synthetic,
-                   load_checkpoint, normalize_images, stratified_split,
-                   write_csv)
-from .errors import (CheckpointManifestError, ConfigError, HVTError,
-                     InputError)
-from .finetune import finetune_loop, predict_proba, tta_predict
+from .data import (ImageContainer, generate_synthetic, load_model,
+                   normalize_images, stratified_split, write_csv)
+from .data import load_checkpoint  # noqa: F401 (a binding perfbench/tracer.py wraps)
+from .errors import ConfigError, HVTError, InputError
+from .finetune import finetune_loop, predict_logits, predict_proba, tta_predict
 from .metrics import (PredictionSet, apply_temperature, classification_metrics,
                       ece, fit_temperature, nll, reliability_bins,
                       temperature_at_bound)
-from .model import attention_rollout, forward, init_params, param_shapes
+from .model import attention_rollout, forward, init_params
 from .ssl import init_projection_head, pretrain_loop
-from .tensor import RngStream, Tensor, no_grad
+from .tensor import RngStream, no_grad
 
 
 class _UsageError(InputError):
@@ -58,24 +57,6 @@ def _run_config(args):
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
-
-
-def _model_from_checkpoint(path, eval_only=True):
-    """Load a checkpoint into model params, verifying the shape manifest."""
-    arrays, snapshot, meta = load_checkpoint(path)
-    config = config_from_snapshot(snapshot)
-    if config is None:
-        raise CheckpointManifestError(f"{path}: checkpoint has no config snapshot")
-    expected = param_shapes(config)
-    missing = sorted(k for k in expected if k not in arrays)
-    wrong = sorted(k for k in expected
-                   if k in arrays and tuple(arrays[k].shape) != tuple(expected[k]))
-    if missing or wrong:
-        raise CheckpointManifestError(
-            f"{path}: manifest does not satisfy the model "
-            f"(missing={missing}, wrong-shape={wrong})")
-    params = {k: Tensor(arrays[k], requires_grad=not eval_only) for k in expected}
-    return params, config, meta
 
 
 def _load_container(path, config, labeled=False, any_size=False):
@@ -160,20 +141,11 @@ def cmd_finetune(args):
                             any_size=settings.policy is not None)
     val = _load_container(args.val, config, labeled=True)
     rng = RngStream(args.seed)
-    params = init_params(config, rng)
     if args.init:
-        arrays, snapshot, _ = load_checkpoint(args.init)
-        expected = param_shapes(config)
-        loaded = 0
-        for name, shape in expected.items():
-            if name in arrays:
-                if tuple(arrays[name].shape) != tuple(shape):
-                    raise CheckpointManifestError(
-                        f"{args.init}: {name} has shape {arrays[name].shape}, "
-                        f"model needs {shape}")
-                params[name].data = arrays[name].astype(np.float32, copy=True)
-                loaded += 1
-        emit(event="init_loaded", path=args.init, tensors=loaded)
+        params, _, _ = load_model(args.init, config)
+        emit(event="init_loaded", path=args.init, tensors=len(params))
+    else:
+        params = init_params(config, rng)
     emit(event="finetune_start", train=len(train), val=len(val))
     result = finetune_loop(params, train, val, config, settings,
                            rng.child("finetune"), out_dir=out)
@@ -192,7 +164,7 @@ def cmd_eval(args):
     else:
         if not (args.checkpoint and args.data):
             raise _UsageError("eval needs either --preds or --checkpoint with --data")
-        params, config, _ = _model_from_checkpoint(args.checkpoint)
+        params, config, _ = load_model(args.checkpoint)
         container = _load_container(args.data, config, labeled=True)
         preds = _predictions(params, config, container, run_cfg)
         preds.save_csv(os.path.join(out, "predictions.csv"))
@@ -222,17 +194,13 @@ def _logits_for_calibration(args, run_cfg):
         return v, val.y_true, t, (test.y_true if test is not None else None)
     if not (args.checkpoint and args.val):
         raise _UsageError("calibrate needs --val-preds or --checkpoint with --val")
-    params, config, _ = _model_from_checkpoint(args.checkpoint)
+    params, config, _ = load_model(args.checkpoint)
     mean, std = run_cfg.norm_stats()
 
     def logits_of(path):
         cont = _load_container(path, config, labeled=True)
         x = normalize_images(cont.images, np.asarray(mean), np.asarray(std))
-        outs = []
-        with no_grad():
-            for s in range(0, len(x), 64):
-                outs.append(forward(x[s:s + 64], params, config).logits.numpy())
-        return np.concatenate(outs), cont.labels
+        return predict_logits(x, params, config), cont.labels
 
     v, vy = logits_of(args.val)
     if args.test:
@@ -280,7 +248,7 @@ def cmd_calibrate(args):
 def cmd_rollout(args):
     _run_config(args)
     out = _outdir(args)
-    params, config, _ = _model_from_checkpoint(args.checkpoint)
+    params, config, _ = load_model(args.checkpoint)
     container = _load_container(args.data, config)
     if not 0 <= args.index < len(container):
         raise InputError(f"--index {args.index} outside container of {len(container)}")

@@ -32,7 +32,7 @@ from .errors import (CheckpointCRCError, CheckpointError, CheckpointMagicError,
                      CheckpointManifestError, CheckpointVersionError,
                      ContainerFormatError, InputError)
 from .augment import hsv_to_rgb
-from .model import HVTConfig
+from .model import HVTConfig, param_shapes
 from .tensor import RngStream, Tensor
 
 IMG_MAGIC = b"HVTIMG1\x00"
@@ -245,14 +245,12 @@ def save_checkpoint(path, arrays, config=None, meta=None):
     return path
 
 
-def load_checkpoint(path, expected_shapes=None):
+def load_checkpoint(path):
     """Read a checkpoint; returns ``(arrays, config, meta)``.
 
     Raises distinct errors for bad magic, unsupported version, and CRC
     mismatch, and a plain ``CheckpointError`` for a truncated or corrupt
-    header or a manifest entry that does not fit the payload. When
-    ``expected_shapes`` (name -> shape) is given, the manifest must match
-    it exactly, otherwise a manifest error names the offending tensors.
+    header or a manifest entry that does not fit the payload.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -293,17 +291,34 @@ def load_checkpoint(path, expected_shapes=None):
             raise CheckpointError(
                 f"{path}: manifest entry {entry!r} does not fit the payload ({e})"
             ) from None
-    if expected_shapes is not None:
-        got = {k: tuple(v.shape) for k, v in arrays.items()}
-        want = {k: tuple(s) for k, s in expected_shapes.items()}
-        if got != want:
-            missing = sorted(set(want) - set(got))
-            extra = sorted(set(got) - set(want))
-            wrong = sorted(k for k in set(got) & set(want) if got[k] != want[k])
-            raise CheckpointManifestError(
-                f"{path}: manifest mismatch (missing={missing}, "
-                f"unexpected={extra}, wrong-shape={wrong})")
     return arrays, snapshot.get("config"), snapshot.get("meta", {})
+
+
+def load_model(path, config=None):
+    """Model parameters from a checkpoint: ``(params, config, meta)``.
+
+    The model is ``config``, or without it the checkpoint's own config
+    snapshot, which must be a model config either way. Every parameter the
+    model needs must be stored at its shape, otherwise a manifest error
+    names the offenders; other tensors (a pre-training checkpoint's
+    ``proj.*``) are ignored.
+    """
+    arrays, snapshot, meta = load_checkpoint(path)
+    stored = config_from_snapshot(snapshot)
+    if config is None:
+        config = stored
+    if config is None:
+        raise CheckpointManifestError(f"{path}: checkpoint has no config snapshot")
+    expected = param_shapes(config)
+    missing = sorted(k for k in expected if k not in arrays)
+    wrong = sorted(k for k in expected
+                   if k in arrays and arrays[k].shape != expected[k])
+    if missing or wrong:
+        raise CheckpointManifestError(
+            f"{path}: manifest does not satisfy the model "
+            f"(missing={missing}, wrong-shape={wrong})")
+    params = {k: Tensor(arrays[k], requires_grad=True) for k in expected}
+    return params, config, meta
 
 
 def write_csv(path, rows, fields):
@@ -314,10 +329,6 @@ def write_csv(path, rows, fields):
             f.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
                              for k in fields) + "\n")
     return path
-
-
-def params_to_arrays(params):
-    return {k: t.data for k, t in params.items()}
 
 
 def config_from_snapshot(snapshot):

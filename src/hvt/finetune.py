@@ -27,12 +27,12 @@ import numpy as np
 from . import tensor as T
 from .augment import (FinetunePolicy, finetune_augment, five_crop,
                       hflip, map_augment)
-from .data import normalize_images, params_to_arrays, save_checkpoint, write_csv
+from .data import normalize_images, save_checkpoint, write_csv
 from .errors import ConfigError, InputError
 from .model import forward
 from .optim import (AdamWState, EmaState, FreezeMask, adamw_step,
-                    clip_grad_norm, ema_update, ema_weights,
-                    expand_lr_factors, layerwise_lr_factors, onecycle_lr)
+                    clip_grad_norm, ema_update, ema_weights, expand_lr_factors,
+                    layerwise_lr_factors, onecycle_lr, run_steps, steps_per_epoch)
 from .tensor import Tensor
 
 PROB_EPS = 1e-12
@@ -215,14 +215,18 @@ class FinetuneResult:
     checkpoints: list
 
 
+def predict_logits(images, params, config, batch=64):
+    """Logits for an image array, ``batch`` images per forward, no graph."""
+    with T.no_grad():
+        out = [forward(images[start:start + batch], params, config).logits.numpy()
+               for start in range(0, len(images), batch)]
+    return np.concatenate(out, axis=0)
+
+
 def predict_proba(images, params, config, batch=64):
     """Softmax probabilities for an image array, batched, no graph."""
-    out = []
-    with T.no_grad():
-        for start in range(0, len(images), batch):
-            res = forward(images[start:start + batch], params, config)
-            out.append(T.softmax(res.logits, axis=-1).numpy())
-    return np.concatenate(out, axis=0)
+    return T.softmax(Tensor(predict_logits(images, params, config, batch)),
+                     axis=-1).numpy()
 
 
 def _accuracy(params, config, images, labels, mean, std):
@@ -246,84 +250,59 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
     ema = EmaState.init(params, decay=settings.ema_decay)
     factors = expand_lr_factors(layerwise_lr_factors(config, settings.layer_decay), params)
     backbone_frozen = FreezeMask.backbone(params)
-    micro_per_epoch = math.ceil(n / settings.batch_size)
-    steps_per_epoch = max(1, math.ceil(micro_per_epoch / settings.accum_steps))
+    per_epoch = steps_per_epoch(n, settings)
     total_epochs = settings.epochs
     warmup = settings.warmup_frac * total_epochs
     logs, paths = [], []
-    step = 0
     best_acc, best_epoch, best_arrays = -1.0, -1, None
-    done = False
-    for epoch in range(total_epochs):
-        freeze = backbone_frozen if epoch < settings.freeze_epochs else None
-        perm = rng.child("shuffle", epoch).permutation(n)
-        epoch_losses = []
-        pending, pending_count = None, 0
-        lr_t = 0.0
+    lr_t = 0.0
 
-        def flush():
-            nonlocal pending, pending_count, step, lr_t
-            grads = {k: g / pending_count for k, g in pending.items()}
-            grads, _ = clip_grad_norm(grads, settings.clip_norm)
-            t = min(step / steps_per_epoch, float(total_epochs))
-            lr_t = onecycle_lr(t, warmup, total_epochs, settings.lr_max, settings.lr_min)
-            adamw_step(params, grads, opt, lr_t, lr_factors=factors, freeze=freeze)
-            ema_update(ema, params)
-            step += 1
-            pending, pending_count = None, 0
+    def micro_loss(epoch, start, idx):
+        if settings.policy is not None:
+            imgs = np.stack(map_augment(
+                lambda k: finetune_augment(train.images[int(k)], settings.policy,
+                                           rng.child("aug", epoch, int(k)),
+                                           out_size=config.input_size),
+                list(idx)))
+        else:
+            imgs = train.images[idx]
+        targets = to_onehot(train.labels[idx], classes)
+        if settings.mix_enabled and len(idx) >= 2:
+            imgs, targets = apply_batch_mixing(
+                imgs, targets, rng.child("mix", epoch, start),
+                settings.mixup_p, settings.mixup_alpha,
+                settings.cutmix_p, settings.cutmix_alpha)
+        x = normalize_images(imgs, mean, std)
+        res = forward(x, params, config, mode="train",
+                      rng=rng.child("droppath", epoch, start))
+        return combined_loss(res.logits, targets,
+                             lambda_ce=settings.lambda_ce,
+                             lambda_focal=settings.lambda_focal,
+                             gamma=settings.gamma)
 
-        for start in range(0, n, settings.batch_size):
-            idx = perm[start:start + settings.batch_size]
-            if settings.policy is not None:
-                imgs = np.stack(map_augment(
-                    lambda k: finetune_augment(train.images[int(k)], settings.policy,
-                                               rng.child("aug", epoch, int(k)),
-                                               out_size=config.input_size),
-                    list(idx)))
-            else:
-                imgs = train.images[idx]
-            targets = to_onehot(train.labels[idx], classes)
-            if settings.mix_enabled and len(idx) >= 2:
-                imgs, targets = apply_batch_mixing(
-                    imgs, targets, rng.child("mix", epoch, start),
-                    settings.mixup_p, settings.mixup_alpha,
-                    settings.cutmix_p, settings.cutmix_alpha)
-            x = normalize_images(imgs, mean, std)
-            res = forward(x, params, config, mode="train",
-                          rng=rng.child("droppath", epoch, start))
-            loss = combined_loss(res.logits, targets,
-                                 lambda_ce=settings.lambda_ce,
-                                 lambda_focal=settings.lambda_focal,
-                                 gamma=settings.gamma)
-            loss.backward()
-            epoch_losses.append(float(loss.numpy()))
-            grads = {k: t.grad for k, t in params.items() if t.grad is not None}
-            if pending is None:
-                pending = dict(grads)
-            else:
-                for k, g in grads.items():
-                    pending[k] = pending[k] + g
-            pending_count += 1
-            if pending_count == settings.accum_steps:
-                flush()
-                if settings.max_steps and step >= settings.max_steps:
-                    done = True
-                    break
-        if pending_count:
-            flush()
-            if settings.max_steps and step >= settings.max_steps:
-                done = True
+    def apply_step(grads, step, losses):
+        nonlocal lr_t
+        grads, _ = clip_grad_norm(grads, settings.clip_norm)
+        t = min(step / per_epoch, float(total_epochs))
+        lr_t = onecycle_lr(t, warmup, total_epochs, settings.lr_max, settings.lr_min)
+        frozen = step < settings.freeze_epochs * per_epoch
+        adamw_step(params, grads, opt, lr_t, lr_factors=factors,
+                   freeze=backbone_frozen if frozen else None)
+        ema_update(ema, params)
+
+    def end_epoch(epoch, losses):
+        nonlocal best_acc, best_epoch, best_arrays
         val_acc = _accuracy(params, config, val.images, val.labels, mean, std)
         with ema_weights(ema, params):
             val_acc_ema = _accuracy(params, config, val.images, val.labels, mean, std)
         logs.append({"epoch": epoch + 1, "lr": float(lr_t),
-                     "train_loss": float(np.mean(epoch_losses)),
+                     "train_loss": float(np.mean(losses)),
                      "val_acc": val_acc, "val_acc_ema": val_acc_ema})
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch + 1
             best_arrays = {k: t.data.copy() for k, t in params.items()}
-        if done:
-            break
+
+    run_steps(params, n, settings, rng, micro_loss, apply_step, end_epoch)
     if out_dir:
         write_csv(f"{out_dir}/finetune_log.csv", logs,
                   ("epoch", "lr", "train_loss", "val_acc", "val_acc_ema"))
@@ -332,7 +311,7 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
             {"phase": "finetune", "best_epoch": best_epoch,
              "best_val_acc": best_acc}))
         paths.append(save_checkpoint(
-            f"{out_dir}/finetune_final.ckpt", params_to_arrays(params), config,
+            f"{out_dir}/finetune_final.ckpt", params, config,
             {"phase": "finetune", "epochs_run": len(logs)}))
     return FinetuneResult(params, best_arrays, best_epoch, best_acc, ema,
                           logs, paths)

@@ -1,15 +1,20 @@
-"""Training mechanics: AdamW, clipping, schedules, layer-wise decay, EMA.
+"""Training mechanics: the step driver, AdamW, clipping, schedules,
+layer-wise decay, EMA.
 
 Everything operates on the flat ``{name: Tensor}`` parameter dict from
-``hvt.model``. Gradients travel as plain ``{name: ndarray}`` dicts so the
-optimizer stays decoupled from the autodiff graph. A single owner mutates
-parameters and optimizer state; snapshots for evaluation go through
-:func:`ema_swap_for_eval`, which is an exact, reversible array exchange.
+``hvt.model``. :func:`run_steps` is the one loop over epochs and
+micro-batches: it calls ``backward`` on each micro-batch loss and hands the
+averaged gradients to the caller's step. Gradients travel as plain
+``{name: ndarray}`` dicts so the optimizer stays decoupled from the
+autodiff graph. A single owner mutates parameters and optimizer state;
+snapshots for evaluation go through :func:`ema_swap_for_eval`, which is an
+exact, reversible array exchange.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +58,60 @@ class FreezeMask:
     def backbone(cls, params):
         """Freeze everything except the classification head."""
         return cls(k for k in params if not k.startswith("head."))
+
+
+def steps_per_epoch(n, settings):
+    """Optimizer steps in one epoch of ``n`` samples, ``ceil(ceil(n/b)/a)``
+    for batch size b and accumulation a; rejects loop sizes that cannot run."""
+    for key in ("epochs", "batch_size", "accum_steps"):
+        if getattr(settings, key) < 1:
+            raise ConfigError(f"{key}={getattr(settings, key)} must be at least 1")
+    if settings.max_steps < 0:
+        raise ConfigError(f"max_steps={settings.max_steps} must be >= 0 (0 = all epochs)")
+    return math.ceil(math.ceil(n / settings.batch_size) / settings.accum_steps)
+
+
+def run_steps(params, n, settings, rng, micro_loss, apply_step, end_epoch=None):
+    """Gradient accumulation over ``settings.epochs`` shuffled epochs.
+
+    Each epoch draws its order from ``rng.child("shuffle", epoch)`` and
+    cuts it into micro-batches of ``batch_size``; ``micro_loss(epoch,
+    start, idx)`` returns each one's scalar loss. Every ``accum_steps``
+    micro-batches, and once more for an epoch's remainder, the summed
+    gradients divided by that step's own micro-batch count go to
+    ``apply_step(grads, step, losses)`` (step counts from 0; ``losses`` are
+    the step's micro-batch losses). ``end_epoch(epoch, losses)`` follows
+    each epoch's last step, also when ``max_steps`` (0 = no limit) ends
+    the run mid-epoch. Returns the number of steps run.
+    """
+    steps_per_epoch(n, settings)  # rejects loop sizes that cannot run
+    step = 0
+    for epoch in range(settings.epochs):
+        perm = rng.child("shuffle", epoch).permutation(n)
+        losses, pending = [], None
+        for start in range(0, n, settings.batch_size):
+            loss = micro_loss(epoch, start, perm[start:start + settings.batch_size])
+            loss.backward()
+            losses.append(float(loss.numpy()))
+            grads = {k: t.grad for k, t in params.items() if t.grad is not None}
+            if pending is None:
+                pending, count = dict(grads), 1
+            else:
+                for k, g in grads.items():
+                    pending[k] = pending[k] + g
+                count += 1
+            if count == settings.accum_steps or start + settings.batch_size >= n:
+                apply_step({k: g / count for k, g in pending.items()}, step,
+                           losses[-count:])
+                step += 1
+                pending = None
+                if step == settings.max_steps:
+                    break
+        if end_epoch is not None:
+            end_epoch(epoch, losses)
+        if step == settings.max_steps:
+            break
+    return step
 
 
 def adamw_step(params, grads, state, lr_t, lr_factors=None, freeze=None):

@@ -14,17 +14,17 @@ work is scheduled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .augment import SimclrPolicy, map_augment, simclr_augment
-from .data import normalize_images, params_to_arrays, save_checkpoint, write_csv
+from .data import normalize_images, save_checkpoint, write_csv
 from .errors import ConfigError, ContractError, InputError
 from .model import forward
-from .optim import AdamWState, adamw_step, clip_grad_norm, warmup_cosine_lr
+from .optim import (AdamWState, adamw_step, clip_grad_norm, run_steps,
+                    steps_per_epoch, warmup_cosine_lr)
 from .tensor import Tensor
 
 
@@ -156,73 +156,41 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
     merged = {**params, **head}
     opt = AdamWState.init(merged, betas=settings.betas, eps=settings.eps,
                           weight_decay=settings.weight_decay)
-    micro_per_epoch = math.ceil(n / settings.batch_size)
-    steps_per_epoch = max(1, math.ceil(micro_per_epoch / settings.accum_steps))
+    per_epoch = steps_per_epoch(n, settings)
     logs, paths = [], []
-    step = 0
-    done = False
-    pending, pending_losses = None, []
     mean = np.asarray(settings.norm_mean)
     std = np.asarray(settings.norm_std)
 
-    def flush():
-        nonlocal pending, pending_losses, step
-        grads = {k: g / len(pending_losses) for k, g in pending.items()}
-        grads, _ = clip_grad_norm(grads, settings.clip_norm)
-        t = step / steps_per_epoch
-        lr_t = warmup_cosine_lr(min(t, settings.epochs), settings.warmup_epochs,
-                                settings.epochs, settings.lr)
-        adamw_step(merged, grads, opt, lr_t)
-        step += 1
-        logs.append({"step": step, "epoch": round(step / steps_per_epoch, 6),
-                     "lr": float(lr_t), "loss": float(np.mean(pending_losses))})
-        pending, pending_losses = None, []
-        if out_dir and settings.checkpoint_every and step % settings.checkpoint_every == 0:
-            paths.append(save_checkpoint(
-                f"{out_dir}/pretrain_step{step:06d}.ckpt",
-                {**params_to_arrays(params), **params_to_arrays(head)},
-                config, {"phase": "pretrain", "step": step}))
+    def micro_loss(epoch, start, idx):
+        pairs = map_augment(
+            lambda k: simclr_augment(images[int(k)], settings.policy,
+                                     rng.child("aug", epoch, int(k)),
+                                     out_size=config.input_size),
+            list(idx))
+        views = [p.view_a for p in pairs] + [p.view_b for p in pairs]
+        batch = normalize_images(np.stack(views), mean, std)
+        res = forward(batch, params, config, mode="train",
+                      rng=rng.child("droppath", epoch, start))
+        emb = project(res.features, head)
+        return nt_xent_loss(emb, temperature=settings.temperature)
 
-    for epoch in range(settings.epochs):
-        perm = rng.child("shuffle", epoch).permutation(n)
-        for start in range(0, n, settings.batch_size):
-            idx = perm[start:start + settings.batch_size]
-            pairs = map_augment(
-                lambda k: simclr_augment(images[int(k)], settings.policy,
-                                         rng.child("aug", epoch, int(k)),
-                                         out_size=config.input_size),
-                list(idx))
-            views = [p.view_a for p in pairs] + [p.view_b for p in pairs]
-            batch = normalize_images(np.stack(views), mean, std)
-            res = forward(batch, params, config, mode="train",
-                          rng=rng.child("droppath", epoch, start))
-            emb = project(res.features, head)
-            loss = nt_xent_loss(emb, temperature=settings.temperature)
-            loss.backward()
-            pending_losses.append(float(loss.numpy()))
-            grads = {k: t.grad for k, t in merged.items() if t.grad is not None}
-            if pending is None:
-                pending = dict(grads)
-            else:
-                for k, g in grads.items():
-                    pending[k] = pending[k] + g
-            if len(pending_losses) == settings.accum_steps:
-                flush()
-                if settings.max_steps and step >= settings.max_steps:
-                    done = True
-                    break
-        if pending_losses:
-            flush()
-            if settings.max_steps and step >= settings.max_steps:
-                done = True
-        if done:
-            break
+    def apply_step(grads, step, losses):
+        grads, _ = clip_grad_norm(grads, settings.clip_norm)
+        lr_t = warmup_cosine_lr(min(step / per_epoch, settings.epochs),
+                                settings.warmup_epochs, settings.epochs, settings.lr)
+        adamw_step(merged, grads, opt, lr_t)
+        taken = step + 1
+        logs.append({"step": taken, "epoch": round(taken / per_epoch, 6),
+                     "lr": float(lr_t), "loss": float(np.mean(losses))})
+        if out_dir and settings.checkpoint_every and taken % settings.checkpoint_every == 0:
+            paths.append(save_checkpoint(f"{out_dir}/pretrain_step{taken:06d}.ckpt", merged,
+                                         config, {"phase": "pretrain", "step": taken}))
+
+    step = run_steps(merged, n, settings, rng, micro_loss, apply_step)
     if out_dir:
         write_csv(f"{out_dir}/pretrain_log.csv", logs, ("step", "epoch", "lr", "loss"))
-        paths.append(save_checkpoint(
-            f"{out_dir}/pretrain_final.ckpt",
-            {**params_to_arrays(params), **params_to_arrays(head)},
-            config, {"phase": "pretrain", "step": step}))
+        paths.append(save_checkpoint(f"{out_dir}/pretrain_final.ckpt", merged,
+                                     config, {"phase": "pretrain", "step": step}))
     return PretrainResult(params, head, logs, paths)
 
 

@@ -20,7 +20,7 @@ from hvt import metrics as Mx
 from hvt import ssl as S
 from hvt.cli import main as cli_main
 from hvt.data import (ImageContainer, generate_synthetic, load_checkpoint,
-                      normalize_images, params_to_arrays, save_checkpoint,
+                      normalize_images, save_checkpoint,
                       stratified_split)
 from hvt.model import HVTConfig, attention_rollout, count_params, forward, init_params
 from hvt.tensor import RngStream, Tensor, no_grad

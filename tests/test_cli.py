@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, artifacts, reproducibility."""
 
+import configparser
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from hvt.cli import main
 from hvt.config import RunConfig
-from hvt.data import ImageContainer, params_to_arrays, save_checkpoint
+from hvt.data import ImageContainer, save_checkpoint
 from hvt.metrics import PredictionSet
 from hvt.model import init_params
 from hvt.tensor import RngStream
@@ -44,7 +45,7 @@ def perfect_preds_csv(path, n=40, classes=7):
 def fresh_checkpoint(tmp_path, cfg):
     config = RunConfig.load(cfg).model_config()
     path = tmp_path / "init.ckpt"
-    save_checkpoint(path, params_to_arrays(init_params(config, RngStream(0))), config)
+    save_checkpoint(path, init_params(config, RngStream(0)), config)
     return path
 
 
@@ -240,13 +241,36 @@ class TestContainerChecks:
         config = RunConfig.load(cfg).model_config()
         ckpt = tmp_path / "bad.ckpt"
         snapshot = {**dataclasses.asdict(config), "bogus": 1}
-        save_checkpoint(ckpt, params_to_arrays(init_params(config, RngStream(0))),
+        save_checkpoint(ckpt, init_params(config, RngStream(0)),
                         snapshot)
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--data", self._container(tmp_path, 2, 64), "--config", cfg,
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "kind=CheckpointError" in capsys.readouterr().out
+
+
+class TestLoopSizes:
+    """Loop sizes the step driver cannot run are a ConfigError (exit 1) in
+    both training commands, before any step."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("key,value", [("epochs", 0), ("batch_size", 0),
+                                           ("accum_steps", 0), ("max_steps", -1)])
+    def test_bad_loop_size_exits_1(self, tmp_path, capsys, command, key, value):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(write_cfg(tmp_path))
+        cp.set(command, key, str(value))
+        cfg = tmp_path / "bad.cfg"
+        with open(cfg, "w") as f:
+            cp.write(f)
+        data = TestContainerChecks._container(tmp_path, 8, 64)
+        args = ["--data", data] if command == "pretrain" else ["--train", data, "--val", data]
+        rc = main([command, *args, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=ConfigError" in out and key in out
+        assert f"event={command}_step" not in out and f"event={command}_epoch" not in out
 
 
 class TestCalibrate:
@@ -355,6 +379,21 @@ class TestFullPipeline:
                    "--init", str(run / "pretrain_final.ckpt"),
                    "--config", str(bigger), "--seed", "4", "--out", str(run)])
         assert rc == 1
+
+    def test_init_checkpoint_missing_a_tensor_rejected(self, tmp_path, capsys):
+        # a warm start needs every model tensor; none keeps its fresh init
+        cfg = write_cfg(tmp_path)
+        config = RunConfig.load(cfg).model_config()
+        params = init_params(config, RngStream(0))
+        del params["head.b"]
+        ckpt = tmp_path / "partial.ckpt"
+        save_checkpoint(ckpt, params, config)
+        data = TestContainerChecks._container(tmp_path, 8, 64)
+        rc = main(["finetune", "--train", data, "--val", data, "--init", str(ckpt),
+                   "--config", cfg, "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=CheckpointManifestError" in out and "'head.b'" in out
 
 
 class TestConfigFile:

@@ -131,7 +131,7 @@ class TestCheckpoint:
         cfg = HVTConfig.tiny(drop_path_max=0.0)
         params = init_params(cfg, RngStream(0))
         path = tmp_path / "model.ckpt"
-        D.save_checkpoint(path, D.params_to_arrays(params), cfg, {"step": 12})
+        D.save_checkpoint(path, params, cfg, {"step": 12})
         arrays, snap, meta = D.load_checkpoint(path)
         assert meta == {"step": 12}
         assert D.config_from_snapshot(snap) == cfg
@@ -143,7 +143,7 @@ class TestCheckpoint:
         cfg = HVTConfig.tiny(drop_path_max=0.0)
         params = init_params(cfg, RngStream(1))
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        D.save_checkpoint(p1, D.params_to_arrays(params), cfg)
+        D.save_checkpoint(p1, params, cfg)
         arrays, snap, meta = D.load_checkpoint(p1)
         D.save_checkpoint(p2, arrays, D.config_from_snapshot(snap), meta or None)
         assert p1.read_bytes() == p2.read_bytes()
@@ -182,18 +182,38 @@ class TestCheckpoint:
         cfg = HVTConfig.tiny(drop_path_max=0.0)
         params = init_params(cfg, RngStream(2))
         path = tmp_path / "mm.ckpt"
-        D.save_checkpoint(path, D.params_to_arrays(params), cfg)
-        other = HVTConfig.desk(drop_path_max=0.0)
+        arrays = {k: t for k, t in params.items() if k != "head.b"}
+        arrays["head.w"] = np.zeros((1, 1), np.float32)
+        D.save_checkpoint(path, arrays, cfg)
+        with pytest.raises(CheckpointManifestError,
+                           match=r"missing=\['head.b'\], wrong-shape=\['head.w'\]"):
+            D.load_model(path)
         with pytest.raises(CheckpointManifestError, match="wrong-shape"):
-            D.load_checkpoint(path, expected_shapes=param_shapes(other))
+            D.load_model(path, HVTConfig.desk(drop_path_max=0.0))
 
     def test_manifest_match_accepts(self, tmp_path):
         cfg = HVTConfig.tiny(drop_path_max=0.0)
         params = init_params(cfg, RngStream(3))
         path = tmp_path / "ok.ckpt"
-        D.save_checkpoint(path, D.params_to_arrays(params), cfg)
-        arrays, _, _ = D.load_checkpoint(path, expected_shapes=param_shapes(cfg))
-        assert set(arrays) == set(params)
+        extras = {"proj.w1": np.ones((cfg.dims[-1], 4), np.float32)}
+        D.save_checkpoint(path, {**params, **extras}, cfg, {"step": 3})
+        for given in (None, cfg):
+            loaded, config, meta = D.load_model(path, given)
+            assert config == cfg and meta == {"step": 3}
+            assert list(loaded) == list(param_shapes(cfg))
+            for k, t in loaded.items():
+                assert t.requires_grad and np.array_equal(t.numpy(), params[k].numpy())
+
+    def test_load_model_needs_a_model_config(self, tmp_path):
+        cfg = HVTConfig.tiny(drop_path_max=0.0)
+        path = tmp_path / "nocfg.ckpt"
+        D.save_checkpoint(path, init_params(cfg, RngStream(4)))
+        with pytest.raises(CheckpointManifestError, match="no config snapshot"):
+            D.load_model(path)
+        assert D.load_model(path, cfg)[1] == cfg
+        D.save_checkpoint(path, init_params(cfg, RngStream(4)), {"bogus": 1})
+        with pytest.raises(CheckpointError, match="not a model config"):
+            D.load_model(path, cfg)
 
     def _saved(self, tmp_path):
         path = tmp_path / "h.ckpt"

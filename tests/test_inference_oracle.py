@@ -4,9 +4,9 @@ The references below are the formulations the fused code replaced: a
 ``layer_norm`` built from about ten small nodes (mean, broadcast, subtract,
 square, mean, shift, power, broadcast, multiply, affine), projections as a
 matmul node followed by a separate ``+ bias`` node, a broadcast
-per-channel ``normalize_images``, and one resize call per five-crop (each
+per-channel ``normalize_images``, one resize call per five-crop (each
 through the current ``resize_bilinear``, which the stacked call must match
-bit for bit). The fused code must reproduce them bit for bit, so a
+bit for bit), and ``predict_proba`` as a softmax per forward batch. The fused code must reproduce them bit for bit, so a
 checkpoint keeps giving the same predictions, calibration and rollout.
 """
 
@@ -52,6 +52,15 @@ def ref_five_crop(img, ratio=0.875):
     anchors = [(0, 0), (0, w - cw), (h - ch, 0), (h - ch, w - cw),
                ((h - ch) // 2, (w - cw) // 2)]
     return [A.resize_bilinear(img[i:i + ch, j:j + cw], h, w) for i, j in anchors]
+
+
+def ref_predict_proba(images, params, config, batch=64):
+    out = []
+    with T.no_grad():
+        for start in range(0, len(images), batch):
+            res = forward(images[start:start + batch], params, config)
+            out.append(T.softmax(res.logits, axis=-1).numpy())
+    return np.concatenate(out, axis=0)
 
 
 def use_reference_engine(monkeypatch):
@@ -108,6 +117,20 @@ class TestInferenceBitIdentical:
         use_reference_inference(monkeypatch)
         want = [F.tta_predict(img, params, config) for img in imgs]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestBatchedPrediction:
+    @pytest.mark.parametrize("batch", [3, 64])
+    def test_probabilities_are_the_softmax_per_batch(self, batch):
+        params, config = desk_model()
+        x = normalize_images(images(7), (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
+        logits = F.predict_logits(x, params, config, batch=batch)
+        with T.no_grad():
+            want = forward(x[:batch], params, config).logits.numpy()
+        assert logits.shape == (7, config.num_classes)
+        assert np.array_equal(logits[:batch], want)
+        assert np.array_equal(F.predict_proba(x, params, config, batch=batch),
+                              ref_predict_proba(x, params, config, batch=batch))
 
 
 class TestNormalizeImages:

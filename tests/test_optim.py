@@ -1,9 +1,13 @@
 """Optimizer, schedulers, layer-wise decay, EMA, freeze contracts."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hvt import optim as O
+from hvt import tensor as T
 from hvt.errors import ConfigError, ContractError
 from hvt.model import HVTConfig, init_params
 from hvt.tensor import RngStream, Tensor
@@ -227,3 +231,75 @@ class TestEMA:
     def test_invalid_decay(self):
         with pytest.raises(ConfigError):
             O.EmaState.init(toy_params(), decay=1.0)
+
+
+class TestRunSteps:
+    """The step driver on a one-parameter model whose micro-batch loss is
+    ``w * sum(idx)`` at w = 1: each loss equals its gradient."""
+
+    @staticmethod
+    def drive(n, batch_size, accum_steps, epochs=1, max_steps=0):
+        settings = SimpleNamespace(epochs=epochs, batch_size=batch_size,
+                                   accum_steps=accum_steps, max_steps=max_steps)
+        w = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+        events, micro = [], []
+
+        def micro_loss(epoch, start, idx):
+            micro.append((epoch, start, list(idx)))
+            return T.reduce(w * Tensor(np.array([float(np.sum(idx))])), "sum")
+
+        def apply_step(grads, step, losses):
+            events.append(("step", step, float(grads["w"][0]), list(losses)))
+
+        def end_epoch(epoch, losses):
+            events.append(("end", epoch, list(losses)))
+
+        rng = RngStream(7)
+        ran = O.run_steps({"w": w}, n, settings, rng, micro_loss, apply_step, end_epoch)
+        return ran, events, micro, rng
+
+    @pytest.mark.parametrize("n,b,a", [(5, 1, 2), (10, 3, 2), (7, 7, 1), (9, 2, 3), (4, 8, 2)])
+    def test_step_indices_and_steps_per_epoch(self, n, b, a):
+        per_epoch = O.steps_per_epoch(n, SimpleNamespace(epochs=3, batch_size=b,
+                                                         accum_steps=a, max_steps=0))
+        assert per_epoch == math.ceil(math.ceil(n / b) / a)
+        ran, events, micro, _ = self.drive(n, b, a, epochs=3)
+        assert ran == 3 * per_epoch
+        steps = [e[1] for e in events if e[0] == "step"]
+        assert steps == list(range(3 * per_epoch))
+        ends = [i for i, e in enumerate(events) if e[0] == "end"]
+        assert ends == [(per_epoch + 1) * k + per_epoch for k in range(3)]
+        assert len(micro) == 3 * math.ceil(n / b)
+
+    def test_remainder_step_averages_over_its_own_count(self):
+        _, events, micro, rng = self.drive(5, 1, 2)
+        perm = [int(k) for k in rng.child("shuffle", 0).permutation(5)]
+        assert [m[2] for m in micro] == [[k] for k in perm]
+        steps = [e for e in events if e[0] == "step"]
+        assert [len(e[3]) for e in steps] == [2, 2, 1]
+        for (_, _, grad, losses), group in zip(steps, (perm[0:2], perm[2:4], perm[4:])):
+            assert losses == [float(k) for k in group]
+            assert grad == sum(group) / len(group)
+
+    def test_max_steps_mid_epoch_ends_that_epoch_then_stops(self):
+        ran, events, micro, _ = self.drive(5, 1, 2, epochs=4, max_steps=4)
+        assert ran == 4
+        assert [e[:2] for e in events] == [("step", 0), ("step", 1), ("step", 2),
+                                           ("end", 0), ("step", 3), ("end", 1)]
+        assert [m[:2] for m in micro[5:]] == [(1, 0), (1, 1)]
+
+    def test_per_epoch_losses(self):
+        _, events, _, rng = self.drive(6, 2, 2, epochs=2)
+        for epoch, (_, _, losses) in enumerate(e for e in events if e[0] == "end"):
+            perm = rng.child("shuffle", epoch).permutation(6)
+            assert losses == [float(perm[s:s + 2].sum()) for s in (0, 2, 4)]
+
+    @pytest.mark.parametrize("key,value", [("epochs", 0), ("batch_size", 0),
+                                           ("accum_steps", 0), ("max_steps", -1)])
+    def test_bad_loop_sizes_rejected(self, key, value):
+        settings = SimpleNamespace(epochs=1, batch_size=1, accum_steps=1, max_steps=0)
+        setattr(settings, key, value)
+        with pytest.raises(ConfigError, match=key):
+            O.steps_per_epoch(4, settings)
+        with pytest.raises(ConfigError, match=key):
+            O.run_steps({}, 4, settings, RngStream(0), None, None)
