@@ -87,11 +87,14 @@ class ImageContainer:
         n, h, w, c, code = struct.unpack("<5I", blob[8:28])
         if code != 0:
             raise ContainerFormatError(f"{path}: unknown dtype code {code}")
-        record = np.dtype([("label", "<i4"), ("pix", "<f4", (h * w * c,))])
-        expected = 28 + n * record.itemsize
+        pixels = h * w * c  # a Python int: the record dtype takes a C int
+        expected = 28 + n * (4 + 4 * pixels)
         if len(blob) != expected:
             raise ContainerFormatError(
                 f"{path}: size {len(blob)} != header-implied {expected}")
+        if pixels >= 2 ** 31:
+            raise ContainerFormatError(f"{path}: {h}x{w}x{c} images are too large")
+        record = np.dtype([("label", "<i4"), ("pix", "<f4", (pixels,))])
         rows = np.frombuffer(blob, dtype=record, offset=28)
         return cls(images=rows["pix"].reshape(n, h, w, c).copy(),
                    labels=rows["label"].astype(np.int32))

@@ -4,8 +4,8 @@ All functions here are pure over an immutable :class:`PredictionSet`
 (true label, predicted label, full probability row per sample). The
 calibration conventions: confidence is the top-1 probability, ECE uses
 equal-width bins (15 by default) and is reported as a fraction in [0, 1],
-and temperature is fit by golden-section search on log T over [-3, 3]
-minimizing NLL (never ECE directly).
+and temperature minimizes validation NLL (never ECE directly), solved
+exactly in 1/T; :func:`temperature_at_bound` flags a T with no minimum.
 """
 
 from __future__ import annotations
@@ -72,15 +72,20 @@ class PredictionSet:
     @classmethod
     def load_csv(cls, path):
         with open(path) as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        if not lines or not lines[0].startswith("sample_id,true_label,pred_label,p_0"):
+            lines = [(i, ln.strip().split(",")) for i, ln in enumerate(f, 1) if ln.strip()]
+        if not lines or lines[0][1][:4] != ["sample_id", "true_label", "pred_label", "p_0"]:
             raise InputError(f"{path}: not a prediction-set CSV")
+        width = len(lines[0][1])
         y_true, y_pred, probs = [], [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            y_true.append(int(parts[1]))
-            y_pred.append(int(parts[2]))
-            probs.append([float(x) for x in parts[3:]])
+        for i, parts in lines[1:]:
+            try:
+                if len(parts) != width:
+                    raise ValueError(f"{len(parts)} fields where the header has {width}")
+                y_true.append(int(parts[1]))
+                y_pred.append(int(parts[2]))
+                probs.append([float(x) for x in parts[3:]])
+            except ValueError as e:
+                raise InputError(f"{path}: line {i}: {e}") from None
         return cls(np.array(y_true), np.array(y_pred), np.array(probs))
 
 
@@ -217,50 +222,47 @@ def nll(logits, labels, temperature=1.0):
     return float(-np.mean(logp[np.arange(len(labels)), np.asarray(labels)]))
 
 
-LOG_T_BRACKET = (-3.0, 3.0)  # fit_temperature searches log T over this
-LOG_T_TOL = 1e-4
+# fit_temperature's answers where NLL has no finite minimum in T: finite and
+# positive, so calibration.json stays finite and apply_temperature takes them
+T_EDGES = (math.exp(-3.0), math.exp(3.0))
 
 
-def fit_temperature(logits, labels, tol=LOG_T_TOL):
-    """Golden-section search for T minimizing validation NLL.
-
-    The search runs on log T over ``LOG_T_BRACKET``. Degenerate logits
-    (every row constant) make T unidentifiable; returns 1.0 with a flag in
-    that case. A T* on the edge of the bracket is not a minimum; see
-    :func:`temperature_at_bound`. Returns ``(T_star, degenerate)``.
-    """
+def fit_temperature(logits, labels):
+    """``(T, degenerate)``: T minimizes validation NLL, solved exactly on
+    beta = 1/T (1.0, degenerate, when every row is constant). NLL is convex
+    in beta, its slope mean(E_p[z] - z_y) rising from mean(mean_c z - z_y)
+    at 0 towards mean(max z - z_y), so the root of the slope is bisected
+    until the midpoint equals an endpoint."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    if len(logits) == 0:
-        raise InputError("fit_temperature needs a non-empty validation set")
+    if logits.ndim != 2 or not logits.size or not np.isfinite(logits).all():
+        raise InputError("fit_temperature needs non-empty, finite (N, C) logits")
+    n, c = logits.shape
+    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= c:
+        raise InputError(f"fit_temperature needs one label in [0, {c}) per row")
     if np.ptp(logits, axis=1).max() < 1e-12:
         return 1.0, True
-    lo, hi = LOG_T_BRACKET
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    z_y = logits[np.arange(n), labels]
 
-    def f(log_t):
-        return nll(logits, labels, math.exp(log_t))
+    def slope(beta):
+        p = apply_temperature(logits, 1.0 / beta)
+        return np.mean((p * logits).sum(axis=1) - z_y)
 
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = f(x2)
-    return float(math.exp(0.5 * (lo + hi))), False
+    if np.mean(logits.mean(axis=1) - z_y) >= 0:  # no beta > 0 lowers NLL
+        return T_EDGES[1], False
+    if (z_y == logits.max(axis=1)).all():  # every label a row maximum, ties count
+        return T_EDGES[0], False
+    lo, hi = 0.0, 1.0
+    while not slope(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if slope(mid) > 0 else (mid, hi)
+    return float(1.0 / hi), False
 
 
 def temperature_at_bound(temperature):
-    """True when a fitted T lies within the search tolerance of an edge of
-    the bracket: NLL was still falling there, so T is not trustworthy."""
-    log_t = math.log(temperature)
-    return any(abs(log_t - edge) <= LOG_T_TOL for edge in LOG_T_BRACKET)
+    """True when T is a :func:`fit_temperature` answer without a minimum."""
+    return temperature in T_EDGES
 
 
 def apply_temperature(logits, temperature):

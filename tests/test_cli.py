@@ -11,6 +11,7 @@ import pytest
 from hvt.cli import main
 from hvt.config import RunConfig
 from hvt.data import ImageContainer, save_checkpoint
+from hvt.errors import ContractError
 from hvt.metrics import PredictionSet
 from hvt.model import init_params
 from hvt.tensor import RngStream
@@ -66,6 +67,36 @@ class TestUsageAndErrors:
         rc = main(["eval", "--preds", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ContractError("broken invariant")
+
+        monkeypatch.setattr("hvt.cli.fit_temperature", broken)
+        csv = tmp_path / "v.csv"
+        perfect_preds_csv(csv)
+        rc = main(["calibrate", "--val-preds", str(csv), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "event=internal_error kind=ContractError" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    @pytest.mark.parametrize("defect", ["label", "short_row"])
+    def test_malformed_prediction_csv_exits_1(self, tmp_path, capsys, command, defect):
+        csv = tmp_path / "p.csv"
+        perfect_preds_csv(csv)
+        lines = csv.read_text().splitlines()
+        parts = lines[3].split(",")
+        if defect == "label":
+            parts[1] = "2.5"
+        else:
+            parts = parts[:-1]
+        lines[3] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        flag = {"eval": "--preds", "calibrate": "--val-preds"}[command]
+        rc = main([command, flag, str(csv), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "line 4" in out
 
     def test_bad_container_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.hvtimg"
@@ -204,6 +235,19 @@ class TestContainerChecks:
         assert rc == 1
         assert "kind=InputError" in out and "no images" in out
 
+    @pytest.mark.parametrize("command", ["eval", "calibrate", "finetune"])
+    def test_label_outside_model_classes_exits_1(self, tmp_path, capsys, command):
+        path = str(tmp_path / "c.hvtimg")
+        images = np.random.default_rng(0).random((8, 64, 64, 3), dtype=np.float32)
+        ImageContainer(images, np.array([0, 1, 2, 3, 4, 5, 6, 7], dtype=np.int32)).save(path)
+        if command == "finetune":
+            rc = self._finetune(tmp_path, self._container(tmp_path, 8, 64), path)
+        else:
+            rc = self._run(tmp_path, command, path)
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "labels 0..7" in out
+
     def _finetune(self, tmp_path, train, val, extra=""):
         return main(["finetune", "--train", train, "--val", val,
                      "--config", write_cfg(tmp_path, extra), "--out", str(tmp_path / "o")])
@@ -274,7 +318,7 @@ class TestLoopSizes:
 
 
 class TestCalibrate:
-    def test_from_prediction_csvs(self, tmp_path, capsys):
+    def test_from_prediction_csvs(self, tmp_path):
         rng = np.random.default_rng(2)
         n, c = 400, 4
         logits = rng.normal(size=(n, c)) * 2.0
@@ -293,16 +337,13 @@ class TestCalibrate:
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["temperature"] > 1.5  # sharpened by 3x, T* near 3
         assert payload["at_bound"] is False
-        # labels drawn from the probabilities: some predictions are wrong
-        assert payload["val_all_correct"] is False
-        assert "val_all_correct=False" in capsys.readouterr().out
         assert payload["val_nll_after"] <= payload["val_nll_before"]
         assert (out / "test_predictions_calibrated.csv").exists()
 
 
     def test_boundary_temperature_reported_at_bound(self, tmp_path, capsys):
-        # log-probabilities of 0.01 x one-hot logits: NLL keeps falling as T
-        # shrinks, so T* lands on the lower edge of the search bracket
+        # log-probabilities of 0.01 x one-hot logits: every prediction is
+        # right, so NLL keeps falling as T shrinks and the fit answers e^-3
         y = np.arange(70) % 7
         z = 0.01 * np.eye(7)[y]
         probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
@@ -313,10 +354,7 @@ class TestCalibrate:
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["at_bound"] is True and payload["degenerate"] is False
         assert abs(payload["temperature"] - np.exp(-3.0)) < 1e-3 * np.exp(-3.0)
-        # every prediction is right, which is why the lower edge is the answer
-        assert payload["val_all_correct"] is True
-        out_text = capsys.readouterr().out
-        assert "at_bound=True" in out_text and "val_all_correct=True" in out_text
+        assert "at_bound=True" in capsys.readouterr().out
 
 
 class TestFullPipeline:

@@ -52,6 +52,21 @@ class TestImageContainer:
         with pytest.raises(ContainerFormatError):
             D.ImageContainer.load(p)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    @pytest.mark.parametrize("value", [2 ** 31, 2 ** 32 - 1])
+    def test_oversized_header_dimension(self, tmp_path, count, field, value):
+        # H, W or C so large that numpy cannot build the record dtype
+        c = D.ImageContainer(np.zeros((count, 4, 4, 3), dtype=np.float32),
+                             np.zeros(count, dtype=np.int32))
+        p = tmp_path / "big.img"
+        c.save(p)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<I", blob, 8 + 4 * field, value)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ContainerFormatError):
+            D.ImageContainer.load(p)
+
     def test_normalize(self):
         img = np.full((1, 2, 2, 3), 0.75, dtype=np.float32)
         out = D.normalize_images(img, (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))

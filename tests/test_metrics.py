@@ -196,6 +196,54 @@ class TestTemperature:
         assert abs(math.log(t_low) + 3.0) < 1e-3 and M.temperature_at_bound(t_low)
         assert abs(math.log(t_high) - 3.0) < 1e-3 and M.temperature_at_bound(t_high)
 
+    def test_exact_fit_below_the_old_bracket(self):
+        # two of 40 predictions wrong: NLL has an interior minimum at
+        # log T ~ -6.07, well below the e^-3 edge answer
+        labels = np.arange(40) % 5
+        pointed = labels.copy()
+        pointed[:2] = (labels[:2] + 1) % 5
+        z = 0.01 * np.eye(5)[pointed]
+        t, degenerate = M.fit_temperature(z, labels)
+        assert not degenerate and not M.temperature_at_bound(t)
+        assert abs(math.log(t) + 6.07) < 0.01
+        assert abs(M.nll(z, labels, t) - 0.268) < 1e-3
+        for step in (1 + 1e-6, 1 - 1e-6):
+            assert M.nll(z, labels, t) <= M.nll(z, labels, t * step)
+
+    def test_edge_answers_exact(self):
+        # all correct: no finite minimum, T -> 0; anti-informative: no T
+        # beats uniform, T -> inf. Both answers stay finite and positive.
+        labels = np.arange(40) % 5
+        onehot = np.eye(5)[labels]
+        assert M.fit_temperature(0.01 * onehot, labels) == (math.exp(-3.0), False)
+        assert M.fit_temperature(-0.01 * onehot, labels) == (math.exp(3.0), False)
+        assert M.temperature_at_bound(math.exp(-3.0))
+        assert M.temperature_at_bound(math.exp(3.0))
+        # a tie with the label counts as right
+        tied = 0.01 * onehot
+        tied[0, (labels[0] + 1) % 5] = 0.01
+        assert M.fit_temperature(tied, labels) == (math.exp(-3.0), False)
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "label_high", "label_negative",
+                                      "label_count", "one_dim", "empty"])
+    def test_bad_fit_input_rejected(self, case):
+        logits = np.random.default_rng(7).normal(size=(6, 3))
+        labels = np.arange(6) % 3
+        if case in ("nan", "inf"):
+            logits[2, 1] = float(case)
+        elif case == "label_high":
+            labels[4] = 3
+        elif case == "label_negative":
+            labels[4] = -1
+        elif case == "label_count":
+            labels = labels[:5]
+        elif case == "one_dim":
+            logits = logits[:, 0]
+        else:
+            logits, labels = np.zeros((0, 3)), labels[:0]
+        with pytest.raises(InputError):
+            M.fit_temperature(logits, labels)
+
     def test_apply_identity_at_one(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(6, 4))
