@@ -60,13 +60,15 @@ def _outdir(args):
 
 
 def _load_container(path, config, labeled=False, any_size=False):
-    """A container whose images the model reads: non-empty, (H, W, 3) at the
-    model's input size (at any size when ``any_size``: the fine-tuning
+    """A container whose images the model reads: non-empty, finite, (H, W, 3)
+    at the model's input size (at any size when ``any_size``: the fine-tuning
     augmentation resamples every view to it), and labeled throughout with
     the model's classes when ``labeled``."""
     data = ImageContainer.load(path)
     if not len(data):
         raise InputError(f"{path}: container holds no images")
+    if not np.isfinite(data.images).all():
+        raise InputError(f"{path}: container holds non-finite pixels")
     model_input = (*config.input_size, 3)
     if data.image_shape[-1] != 3 or not (any_size or data.image_shape == model_input):
         raise InputError(f"{path}: container images {data.image_shape} do not match "
@@ -79,17 +81,14 @@ def _load_container(path, config, labeled=False, any_size=False):
 
 
 def _predictions(params, config, container, run_cfg):
-    mean, std = run_cfg.norm_stats()
     ev = run_cfg.values["eval"]
     if ev["tta"]:
         probs = np.stack([
-            tta_predict(img, params, config, crop_ratio=float(ev["tta_crop_ratio"]),
-                        norm_mean=mean, norm_std=std)
+            tta_predict(img, params, config, crop_ratio=float(ev["tta_crop_ratio"]))
             for img in container.images])
     else:
-        probs = predict_proba(normalize_images(container.images, np.asarray(mean),
-                                               np.asarray(std)),
-                              params, config, batch=int(ev["batch_size"]))
+        x = normalize_images(container.images, config.norm_mean, config.norm_std)
+        probs = predict_proba(x, params, config, batch=int(ev["batch_size"]))
     return PredictionSet.from_probs(container.labels, probs)
 
 
@@ -184,38 +183,34 @@ def cmd_eval(args):
     return 0
 
 
-def _logits_for_calibration(args, run_cfg):
+def _logits_for_calibration(args):
     """(val_logits, val_labels, test_logits, test_labels) from either CSVs
     or a checkpoint plus containers. CSV probabilities enter as log-probs,
     which shifts logits per row but leaves temperature fitting unchanged."""
     if args.val_preds:
-        val = PredictionSet.load_csv(args.val_preds)
-        test = PredictionSet.load_csv(args.test_preds) if args.test_preds else None
-        v = np.log(np.clip(val.probs, 1e-12, None))
-        t = np.log(np.clip(test.probs, 1e-12, None)) if test is not None else None
-        return v, val.y_true, t, (test.y_true if test is not None else None)
-    if not (args.checkpoint and args.val):
-        raise _UsageError("calibrate needs --val-preds or --checkpoint with --val")
-    params, config, _ = load_model(args.checkpoint)
-    mean, std = run_cfg.norm_stats()
+        val, test = args.val_preds, args.test_preds
 
-    def logits_of(path):
-        cont = _load_container(path, config, labeled=True)
-        x = normalize_images(cont.images, np.asarray(mean), np.asarray(std))
-        return predict_logits(x, params, config), cont.labels
-
-    v, vy = logits_of(args.val)
-    if args.test:
-        t, ty = logits_of(args.test)
+        def logits_of(path):
+            preds = PredictionSet.load_csv(path)
+            return np.log(np.clip(preds.probs, 1e-12, None)), preds.y_true
     else:
-        t, ty = None, None
-    return v, vy, t, ty
+        if not (args.checkpoint and args.val):
+            raise _UsageError("calibrate needs --val-preds or --checkpoint with --val")
+        val, test = args.val, args.test
+        params, config, _ = load_model(args.checkpoint)
+
+        def logits_of(path):
+            cont = _load_container(path, config, labeled=True)
+            x = normalize_images(cont.images, config.norm_mean, config.norm_std)
+            return predict_logits(x, params, config), cont.labels
+
+    return (*logits_of(val), *(logits_of(test) if test else (None, None)))
 
 
 def cmd_calibrate(args):
     run_cfg = _run_config(args)
     out = _outdir(args)
-    val_logits, val_y, test_logits, test_y = _logits_for_calibration(args, run_cfg)
+    val_logits, val_y, test_logits, test_y = _logits_for_calibration(args)
     bins = int(run_cfg.get("eval", "ece_bins"))
     t_star, degenerate = fit_temperature(val_logits, val_y)
     payload = {
@@ -250,7 +245,8 @@ def cmd_rollout(args):
     container = _load_container(args.data, config)
     if not 0 <= args.index < len(container):
         raise InputError(f"--index {args.index} outside container of {len(container)}")
-    image = container.images[args.index]
+    image = normalize_images(container.images[args.index], config.norm_mean,
+                             config.norm_std)
     with no_grad():
         res = forward(image, params, config, capture="final")
     grid_map, full_map = attention_rollout(res.record)

@@ -5,6 +5,9 @@ and [eval]. Every key has a typed default below (the full-scale training
 recipe); a config file only lists overrides. Unknown sections or keys are
 rejected rather than ignored.
 
+[model], input stats included, shapes the models gen-data, pretrain and
+finetune create; eval, calibrate and rollout take the checkpoint's model.
+
 Units: sizes in pixels, schedule positions in epochs, probabilities in
 [0, 1], learning rates per-step multipliers applied by AdamW. ``max_steps``
 values of 0 mean "run the full epoch budget".
@@ -186,11 +189,8 @@ class RunConfig:
                          ffn_ratio=int(m["ffn_ratio"]),
                          drop_path_max=float(m["drop_path_max"]),
                          num_classes=int(m["num_classes"]),
-                         use_output_proj=bool(m["use_output_proj"]))
-
-    def norm_stats(self):
-        m = self.values["model"]
-        return tuple(m["norm_mean"]), tuple(m["norm_std"])
+                         use_output_proj=bool(m["use_output_proj"]),
+                         norm_mean=m["norm_mean"], norm_std=m["norm_std"])
 
     def simclr_policy(self):
         p = self.values["pretrain"]
@@ -205,7 +205,6 @@ class RunConfig:
 
     def pretrain_settings(self):
         p = self.values["pretrain"]
-        mean, std = self.norm_stats()
         return PretrainSettings(
             epochs=int(p["epochs"]), batch_size=int(p["batch_size"]),
             accum_steps=int(p["accum_steps"]), lr=float(p["lr"]),
@@ -215,7 +214,7 @@ class RunConfig:
             warmup_epochs=float(p["warmup_epochs"]),
             temperature=float(p["temperature"]), proj_dim=int(p["proj_dim"]),
             proj_hidden=int(p["proj_hidden"]), policy=self.simclr_policy(),
-            norm_mean=mean, norm_std=std, max_steps=int(p["max_steps"]),
+            max_steps=int(p["max_steps"]),
             checkpoint_every=int(p["checkpoint_every"]))
 
     def finetune_policy(self):
@@ -228,7 +227,6 @@ class RunConfig:
 
     def finetune_settings(self):
         f = self.values["finetune"]
-        mean, std = self.norm_stats()
         return FinetuneSettings(
             epochs=int(f["epochs"]), batch_size=int(f["batch_size"]),
             accum_steps=int(f["accum_steps"]), lr_max=float(f["lr_max"]),
@@ -241,4 +239,4 @@ class RunConfig:
             mixup_p=float(f["mixup_p"]), mixup_alpha=float(f["mixup_alpha"]),
             cutmix_p=float(f["cutmix_p"]), cutmix_alpha=float(f["cutmix_alpha"]),
             policy=self.finetune_policy() if f["augment"] else None,
-            norm_mean=mean, norm_std=std, max_steps=int(f["max_steps"]))
+            max_steps=int(f["max_steps"]))

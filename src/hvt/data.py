@@ -207,11 +207,9 @@ def stratified_split(container, fractions=(0.70, 0.15, 0.15), seed=0):
 # checkpoints
 
 def _snapshot_config(config):
-    if config is None:
-        return None
     if isinstance(config, HVTConfig):
         return asdict(config)
-    return dict(config)
+    return None if config is None else dict(config)
 
 
 def save_checkpoint(path, arrays, config=None, meta=None):
@@ -301,7 +299,8 @@ def load_model(path, config=None):
     """Model parameters from a checkpoint: ``(params, config, meta)``.
 
     The model is ``config``, or without it the checkpoint's own config
-    snapshot, which must be a model config either way. Every parameter the
+    snapshot (input stats included: a snapshot without them has the
+    defaults), which must be a model config either way. Every parameter the
     model needs must be stored at its shape, otherwise a manifest error
     names the offenders; other tensors (a pre-training checkpoint's
     ``proj.*``) are ignored.

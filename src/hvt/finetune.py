@@ -184,8 +184,6 @@ class FinetuneSettings:
     lr_min: float = 1e-5
     warmup_frac: float = 0.1
     weight_decay: float = 1e-4
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     clip_norm: float = 5.0
     layer_decay: float = 0.65
     freeze_epochs: int = 5
@@ -197,10 +195,7 @@ class FinetuneSettings:
     mixup_alpha: float = 0.2
     cutmix_p: float = 0.5
     cutmix_alpha: float = 1.0
-    mix_enabled: bool = True
     policy: FinetunePolicy | None = field(default_factory=FinetunePolicy)
-    norm_mean: tuple = (0.5, 0.5, 0.5)
-    norm_std: tuple = (0.25, 0.25, 0.25)
     max_steps: int = 0
 
 
@@ -229,9 +224,9 @@ def predict_proba(images, params, config, batch=64):
                      axis=-1).numpy()
 
 
-def _accuracy(params, config, images, labels, mean, std):
-    probs = predict_proba(normalize_images(images, mean, std), params, config)
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
+def _accuracy(params, config, images, labels):
+    x = normalize_images(images, config.norm_mean, config.norm_std)
+    return float(np.mean(np.argmax(predict_proba(x, params, config), axis=1) == labels))
 
 
 def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
@@ -243,10 +238,7 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
         if split.labels.min() < 0 or split.labels.max() >= classes:
             raise InputError(f"labels outside [0, {classes})")
     n = len(train)
-    mean = np.asarray(settings.norm_mean)
-    std = np.asarray(settings.norm_std)
-    opt = AdamWState.init(params, betas=settings.betas, eps=settings.eps,
-                          weight_decay=settings.weight_decay)
+    opt = AdamWState.init(params, weight_decay=settings.weight_decay)
     ema = EmaState.init(params, decay=settings.ema_decay)
     factors = expand_lr_factors(layerwise_lr_factors(config, settings.layer_decay), params)
     backbone_frozen = FreezeMask.backbone(params)
@@ -267,12 +259,12 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
         else:
             imgs = train.images[idx]
         targets = to_onehot(train.labels[idx], classes)
-        if settings.mix_enabled and len(idx) >= 2:
+        if len(idx) >= 2:
             imgs, targets = apply_batch_mixing(
                 imgs, targets, rng.child("mix", epoch, start),
                 settings.mixup_p, settings.mixup_alpha,
                 settings.cutmix_p, settings.cutmix_alpha)
-        x = normalize_images(imgs, mean, std)
+        x = normalize_images(imgs, config.norm_mean, config.norm_std)
         res = forward(x, params, config, mode="train",
                       rng=rng.child("droppath", epoch, start))
         return combined_loss(res.logits, targets,
@@ -292,9 +284,9 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
 
     def end_epoch(epoch, losses):
         nonlocal best_acc, best_epoch, best_arrays
-        val_acc = _accuracy(params, config, val.images, val.labels, mean, std)
+        val_acc = _accuracy(params, config, val.images, val.labels)
         with ema_weights(ema, params):
-            val_acc_ema = _accuracy(params, config, val.images, val.labels, mean, std)
+            val_acc_ema = _accuracy(params, config, val.images, val.labels)
         logs.append({"epoch": epoch + 1, "lr": float(lr_t),
                      "train_loss": float(np.mean(losses)),
                      "val_acc": val_acc, "val_acc_ema": val_acc_ema})
@@ -326,10 +318,8 @@ def tta_inputs(image, crop_ratio=0.875):
     return crops + [hflip(c) for c in crops]
 
 
-def tta_predict(image, params, config, crop_ratio=0.875,
-                norm_mean=(0.5, 0.5, 0.5), norm_std=(0.25, 0.25, 0.25)):
+def tta_predict(image, params, config, crop_ratio=0.875):
     """Average softmax output over the ten TTA variants of one image."""
     variants = np.stack(tta_inputs(image, crop_ratio))
-    x = normalize_images(variants, np.asarray(norm_mean), np.asarray(norm_std))
-    probs = predict_proba(x, params, config)
-    return probs.mean(axis=0)
+    x = normalize_images(variants, config.norm_mean, config.norm_std)
+    return predict_proba(x, params, config).mean(axis=0)

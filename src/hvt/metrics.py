@@ -11,12 +11,12 @@ exactly in 1/T; :func:`temperature_at_bound` flags a T with no minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, ContractError, InputError
+from .errors import ConfigError, InputError
 
 ECE_BINS = 15
 
@@ -214,12 +214,22 @@ def ece(preds, bins=ECE_BINS):
     return float(np.sum(rb.counts / n * gap))
 
 
+def _class_labels(labels, logits, who):
+    """``labels``, if one class index in [0, C) per row of (N, C) logits."""
+    labels, c = np.asarray(labels), logits.shape[1]
+    if labels.shape != (len(logits),) or labels.dtype.kind not in "iu" \
+            or not ((labels >= 0) & (labels < c)).all():
+        raise InputError(f"{who} needs one label in [0, {c}) per row")
+    return labels
+
+
 def nll(logits, labels, temperature=1.0):
     """Mean negative log likelihood of ``labels`` under softmax(logits/T)."""
     z = np.asarray(logits, dtype=np.float64) / temperature
+    labels = _class_labels(labels, z, "nll")
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-np.mean(logp[np.arange(len(labels)), np.asarray(labels)]))
+    return float(-np.mean(logp[np.arange(len(labels)), labels]))
 
 
 # fit_temperature's answers where NLL has no finite minimum in T: finite and
@@ -234,15 +244,12 @@ def fit_temperature(logits, labels):
     at 0 towards mean(max z - z_y), so the root of the slope is bisected
     until the midpoint equals an endpoint."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     if logits.ndim != 2 or not logits.size or not np.isfinite(logits).all():
         raise InputError("fit_temperature needs non-empty, finite (N, C) logits")
-    n, c = logits.shape
-    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= c:
-        raise InputError(f"fit_temperature needs one label in [0, {c}) per row")
+    labels = _class_labels(labels, logits, "fit_temperature")
     if np.ptp(logits, axis=1).max() < 1e-12:
         return 1.0, True
-    z_y = logits[np.arange(n), labels]
+    z_y = logits[np.arange(len(labels)), labels]
 
     def slope(beta):
         p = apply_temperature(logits, 1.0 / beta)

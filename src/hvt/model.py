@@ -13,6 +13,8 @@ Conventions pinned here:
 
 * Input images are channels-last float arrays, a single ``(H, W, 3)`` image
   or a batch ``(B, H, W, 3)``. Pixels are data, not graph leaves.
+* Callers standardize pixels per channel with ``HVTConfig.norm_mean`` and
+  ``norm_std`` (``hvt.data.normalize_images``); checkpoints carry both.
 * Attention uses a learned output projection after head concatenation
   (disable with ``HVTConfig.use_output_proj=False``; this changes parameter
   counts).
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import RngStream, Tensor
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,21 @@ class HVTConfig:
     num_classes: int = 7
     use_output_proj: bool = True
     allow_custom_dims: bool = False  # lift the channel-doubling requirement
+    norm_mean: tuple = (0.5, 0.5, 0.5)   # input standardization per channel
+    norm_std: tuple = (0.25, 0.25, 0.25)
 
     def __post_init__(self):
         for name in ("input_size", "depths", "dims", "heads"):
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+        for name, low in (("norm_mean", -np.inf), ("norm_std", 0.0)):
+            try:
+                stat = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError):
+                stat = np.array(())
+            if stat.shape != (3,) or not (np.isfinite(stat) & (stat > low)).all():
+                raise ConfigError(f"{name} must be three finite numbers, one per channel "
+                                  f"(norm_std above 0), got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(stat.tolist()))
         h, w = self.input_size
         s = len(self.depths)
         if not (len(self.dims) == len(self.heads) == s) or s < 1:

@@ -125,8 +125,6 @@ class PretrainSettings:
     proj_dim: int = 128
     proj_hidden: int = 0
     policy: SimclrPolicy = field(default_factory=SimclrPolicy)
-    norm_mean: tuple = (0.5, 0.5, 0.5)
-    norm_std: tuple = (0.25, 0.25, 0.25)
     max_steps: int = 0        # 0 = run all epochs
     checkpoint_every: int = 0  # optimizer steps; 0 = final only
 
@@ -158,8 +156,6 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
                           weight_decay=settings.weight_decay)
     per_epoch = steps_per_epoch(n, settings)
     logs, paths = [], []
-    mean = np.asarray(settings.norm_mean)
-    std = np.asarray(settings.norm_std)
 
     def micro_loss(epoch, start, idx):
         pairs = map_augment(
@@ -168,7 +164,7 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
                                      out_size=config.input_size),
             list(idx))
         views = [p.view_a for p in pairs] + [p.view_b for p in pairs]
-        batch = normalize_images(np.stack(views), mean, std)
+        batch = normalize_images(np.stack(views), config.norm_mean, config.norm_std)
         res = forward(batch, params, config, mode="train",
                       rng=rng.child("droppath", epoch, start))
         emb = project(res.features, head)

@@ -283,7 +283,7 @@ def test_c08_desk_scale_overfit():
     settings = F.FinetuneSettings(
         epochs=75, batch_size=16, accum_steps=1, lr_max=3e-3, lr_min=1e-5,
         warmup_frac=0.1, freeze_epochs=0, ema_decay=0.99, mixup_p=0.0,
-        cutmix_p=0.0, mix_enabled=False, policy=None, max_steps=500)
+        cutmix_p=0.0, policy=None, max_steps=500)
     res = F.finetune_loop(params, labeled, labeled, cfg, settings, RngStream(1))
     best = max(row["val_acc"] for row in res.log)
     steps_run = min(500, len(res.log) * math.ceil(len(labeled) / 16))
@@ -294,7 +294,7 @@ def test_c08_desk_scale_overfit():
 
 
 def _gap_features(params, cfg, images):
-    x = normalize_images(images, np.array([0.5] * 3), np.array([0.25] * 3))
+    x = normalize_images(images, cfg.norm_mean, cfg.norm_std)
     out = []
     with no_grad():
         for s in range(0, len(x), 64):

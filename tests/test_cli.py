@@ -17,13 +17,14 @@ from hvt.model import init_params
 from hvt.tensor import RngStream
 
 
-def write_cfg(tmp_path, extra=""):
+def write_cfg(tmp_path, extra="", model_extra=""):
     path = tmp_path / "run.cfg"
     path.write_text(
         "[model]\n"
         "input_size = 64\npatch_size = 8\ndepths = 1,1,1,1\n"
         "dims = 8,16,32,64\nheads = 1,2,4,8\ndrop_path_max = 0.0\n"
         "num_classes = 7\n"
+        + model_extra +
         "[pretrain]\n"
         "epochs = 2\nbatch_size = 4\naccum_steps = 1\nwarmup_epochs = 0.5\n"
         "max_steps = 2\n"
@@ -280,6 +281,24 @@ class TestContainerChecks:
         assert rc == 0
         assert "event=finetune_done" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "rollout"])
+    def test_non_finite_pixels_exit_1(self, tmp_path, capsys, command):
+        images = np.random.default_rng(0).random((8, 64, 64, 3), dtype=np.float32)
+        images[0, 10, 20, 1] = np.nan
+        images[5, 0, 0, 0] = np.inf
+        data = str(tmp_path / "nan.hvtimg")
+        ImageContainer(images, np.arange(8, dtype=np.int32) % 7).save(data)
+        cfg = write_cfg(tmp_path)
+        args = {"pretrain": ["--data", data],
+                "finetune": ["--train", data, "--val", self._container(tmp_path, 4, 64)],
+                "rollout": ["--checkpoint", str(fresh_checkpoint(tmp_path, cfg)),
+                            "--data", data]}[command]
+        rc = main([command, *args, "--config", cfg, "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=InputError" in out and "non-finite pixels" in out
+        assert not (tmp_path / "o" / "rollout_full.csv").exists()
+
     def test_checkpoint_config_with_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         config = RunConfig.load(cfg).model_config()
@@ -315,6 +334,67 @@ class TestLoopSizes:
         assert rc == 1
         assert "kind=ConfigError" in out and key in out
         assert f"event={command}_step" not in out and f"event={command}_epoch" not in out
+
+
+class TestInputStandardization:
+    """eval, calibrate and rollout standardize pixels with the stats the
+    checkpoint was trained with, whatever ``--config`` says."""
+
+    STATS = "norm_mean = 0.3,0.3,0.3\nnorm_std = 0.2,0.2,0.2\n"
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stats")
+        cfg = write_cfg(root, model_extra=self.STATS)
+        data = root / "data"
+        assert main(["gen-data", "--seed", "3", "--out", str(data), "--config", cfg,
+                     "--n-per-class", "10", "--n-unlabeled", "1"]) == 0
+        assert main(["finetune", "--train", str(data / "train.hvtimg"),
+                     "--val", str(data / "val.hvtimg"), "--config", cfg,
+                     "--seed", "3", "--out", str(root / "run")]) == 0
+        default_cfg = write_cfg(tmp_path_factory.mktemp("default"))
+        return str(root / "run" / "finetune_final.ckpt"), data, [cfg, default_cfg, None]
+
+    @staticmethod
+    def _with_config(argv, cfg):
+        return argv + (["--config", cfg] if cfg else [])
+
+    def test_eval_ignores_config_stats(self, trained, tmp_path):
+        ckpt, data, configs = trained
+        outputs = []
+        for i, cfg in enumerate(configs):
+            out = tmp_path / str(i)
+            assert main(self._with_config(
+                ["eval", "--checkpoint", ckpt, "--data", str(data / "test.hvtimg"),
+                 "--out", str(out)], cfg)) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("predictions.csv", "metrics.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_calibrate_ignores_config_stats(self, trained, tmp_path):
+        ckpt, data, configs = trained
+        outputs = []
+        for i, cfg in enumerate(configs):
+            out = tmp_path / str(i)
+            assert main(self._with_config(
+                ["calibrate", "--checkpoint", ckpt, "--val", str(data / "val.hvtimg"),
+                 "--test", str(data / "test.hvtimg"), "--out", str(out)], cfg)) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("calibration.json", "test_predictions_calibrated.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_rollout_predicts_as_eval(self, trained, tmp_path, capsys):
+        ckpt, data, configs = trained
+        test = str(data / "test.hvtimg")
+        assert main(["eval", "--checkpoint", ckpt, "--data", test,
+                     "--out", str(tmp_path)]) == 0
+        probs = PredictionSet.load_csv(tmp_path / "predictions.csv").probs
+        capsys.readouterr()
+        for index in range(len(probs)):
+            assert main(["rollout", "--checkpoint", ckpt, "--data", test,
+                         "--index", str(index), "--out", str(tmp_path)]) == 0
+            out = capsys.readouterr().out
+            assert f"predicted={int(np.argmax(probs[index]))} " in out, (index, out)
 
 
 class TestCalibrate:
@@ -446,6 +526,21 @@ class TestConfigFile:
         bad.write_text("[mystery]\nx = 1\n")
         assert main(["gen-data", "--out", str(tmp_path / "o"),
                      "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune"])
+    @pytest.mark.parametrize("stat", ["norm_mean = 0.5,0.5", "norm_std = 0,0,0",
+                                      "norm_mean = 0.5,nan,0.5"],
+                             ids=["two-values", "zero-std", "nan"])
+    def test_bad_norm_stats_exit_1(self, tmp_path, capsys, command, stat):
+        cfg = write_cfg(tmp_path, model_extra=stat + "\n")
+        data = TestContainerChecks._container(tmp_path, 8, 64)
+        args = {"gen-data": [], "pretrain": ["--data", data],
+                "finetune": ["--train", data, "--val", data]}[command]
+        rc = main([command, *args, "--config", cfg, "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=ConfigError" in out and stat.split()[0] in out
+        assert f"event={command}_start" not in out
 
     def test_defaults_roundtrip(self, tmp_path):
         from hvt.config import RunConfig

@@ -230,6 +230,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a model config"):
             D.load_model(path, cfg)
 
+    def test_snapshot_without_norm_stats_loads_defaults(self, tmp_path):
+        # checkpoints written before the stats joined the config snapshot
+        cfg = HVTConfig.tiny(drop_path_max=0.0)
+        snapshot = D._snapshot_config(cfg)
+        del snapshot["norm_mean"], snapshot["norm_std"]
+        path = tmp_path / "old.ckpt"
+        D.save_checkpoint(path, init_params(cfg, RngStream(5)), snapshot)
+        _, config, _ = D.load_model(path)
+        assert config == cfg
+        assert config.norm_mean == (0.5, 0.5, 0.5)
+        assert config.norm_std == (0.25, 0.25, 0.25)
+
+    def test_snapshot_carries_norm_stats(self, tmp_path):
+        cfg = HVTConfig.tiny(norm_mean=(0.3, 0.4, 0.5), norm_std=(0.2, 0.1, 0.3))
+        path = tmp_path / "stats.ckpt"
+        D.save_checkpoint(path, init_params(cfg, RngStream(6)), cfg)
+        _, config, _ = D.load_model(path)
+        assert config.norm_mean == (0.3, 0.4, 0.5)
+        assert config.norm_std == (0.2, 0.1, 0.3)
+
     def _saved(self, tmp_path):
         path = tmp_path / "h.ckpt"
         D.save_checkpoint(path, {"x": np.ones((4, 4), np.float32)},
@@ -279,8 +299,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header"):
             D.load_checkpoint(path)
 
-    @pytest.mark.parametrize("change", [{"bogus": 1}, {"depths": "abc"}],
-                             ids=["unknown-key", "malformed-value"])
+    @pytest.mark.parametrize("change", [{"bogus": 1}, {"depths": "abc"},
+                                        {"norm_std": [0.0, 0.0, 0.0]}],
+                             ids=["unknown-key", "malformed-value", "zero-std"])
     def test_bad_config_snapshot_is_checkpoint_error(self, tmp_path, change):
         snapshot = {**D._snapshot_config(HVTConfig.tiny()), **change}
         path = self._assembled(tmp_path / "cfg.ckpt", {"config": snapshot, "meta": {}}, [])

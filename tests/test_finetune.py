@@ -208,17 +208,18 @@ class TestFinetuneLoop:
                            for r in res.log])
         assert curves[0] == curves[1]
 
-    def test_mix_disabled_equals_p_zero(self):
+    def test_standardizes_with_config_stats(self, monkeypatch):
+        # training batches and both per-epoch validations
         train, val, _ = _desk_data(2)
-        losses = []
-        for mix_enabled in (True, False):
-            cfg = HVTConfig.tiny(drop_path_max=0.0)
-            params = init_params(cfg, RngStream(4))
-            settings = _fast_settings(mixup_p=0.0, cutmix_p=0.0,
-                                      mix_enabled=mix_enabled)
-            res = F.finetune_loop(params, train, val, cfg, settings, RngStream(5))
-            losses.append([r["train_loss"] for r in res.log])
-        assert losses[0] == losses[1]
+        cfg = HVTConfig.tiny(drop_path_max=0.0, norm_mean=(0.3, 0.4, 0.5),
+                             norm_std=(0.2, 0.1, 0.3))
+        seen = []
+        real = F.normalize_images
+        monkeypatch.setattr(F, "normalize_images", lambda x, mean, std: (
+            seen.append((mean, std)), real(x, mean, std))[1])
+        F.finetune_loop(init_params(cfg, RngStream(4)), train, val, cfg,
+                        _fast_settings(epochs=1), RngStream(5))
+        assert len(seen) > 2 and set(seen) == {(cfg.norm_mean, cfg.norm_std)}
 
     def test_best_checkpoint_and_logs(self, tmp_path):
         train, val, _ = _desk_data(3)
@@ -306,6 +307,18 @@ class TestTTA:
                                 params, cfg)
         for a, b in ((5, 1), (6, 0), (7, 3), (8, 2), (9, 4)):
             np.testing.assert_allclose(probs[a], probs[b], atol=1e-5)
+
+    def test_standardizes_with_config_stats(self):
+        cfg = HVTConfig.tiny(drop_path_max=0.0, norm_mean=(0.3, 0.4, 0.5),
+                             norm_std=(0.2, 0.1, 0.3))
+        params = init_params(cfg, RngStream(5))
+        img = np.random.default_rng(5).random((64, 64, 3), dtype=np.float32)
+        from hvt.data import normalize_images
+        x = normalize_images(np.stack(F.tta_inputs(img)), (0.3, 0.4, 0.5), (0.2, 0.1, 0.3))
+        want = F.predict_proba(x, params, cfg).mean(axis=0)
+        assert np.array_equal(F.tta_predict(img, params, cfg), want)
+        assert not np.array_equal(F.tta_predict(img, params, HVTConfig.tiny(drop_path_max=0.0)),
+                                  want)
 
     def test_too_small_image_rejected(self):
         cfg = HVTConfig.tiny(drop_path_max=0.0)

@@ -244,6 +244,14 @@ class TestTemperature:
         with pytest.raises(InputError):
             M.fit_temperature(logits, labels)
 
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 3], [0], [0, 1, 2], [0.0, 2.0]],
+                             ids=["negative", "high", "short", "long", "float"])
+    def test_nll_rejects_bad_labels(self, labels):
+        # -1 would index the last class: the same value as labels [0, 2]
+        with pytest.raises(InputError, match=r"label in \[0, 3\)"):
+            M.nll([[2, 0, -1], [0, 1, 3]], labels)
+        assert M.nll([[2, 0, -1], [0, 1, 3]], [0, 2]) == pytest.approx(0.1698, abs=1e-4)
+
     def test_apply_identity_at_one(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(6, 4))

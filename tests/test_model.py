@@ -37,6 +37,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             HVTConfig.tiny(drop_path_max=1.0)
 
+    def test_norm_stats_default_and_coerced(self):
+        assert HVTConfig.tiny().norm_mean == (0.5, 0.5, 0.5)
+        assert HVTConfig.tiny().norm_std == (0.25, 0.25, 0.25)
+        cfg = HVTConfig.tiny(norm_mean=[0, 1, np.float32(0.5)], norm_std=(1, 2, 3))
+        assert cfg.norm_mean == (0.0, 1.0, 0.5) and cfg.norm_std == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in cfg.norm_mean + cfg.norm_std)
+
+    @pytest.mark.parametrize("stats", [
+        {"norm_mean": (0.5, 0.5)}, {"norm_mean": (0.5,) * 4}, {"norm_mean": 0.5},
+        {"norm_mean": ("a", 0.5, 0.5)}, {"norm_mean": (0.5, float("nan"), 0.5)},
+        {"norm_std": (0.25, 0.25, float("inf"))}, {"norm_std": (0.0, 0.0, 0.0)},
+        {"norm_std": (0.25, -0.25, 0.25)}],
+        ids=["two", "four", "scalar", "text", "nan", "inf", "zero-std", "negative-std"])
+    def test_bad_norm_stats_rejected(self, stats):
+        with pytest.raises(ConfigError, match="norm_"):
+            HVTConfig.tiny(**stats)
+
     def test_doubling_override(self):
         cfg = HVTConfig.tiny(dims=(8, 24, 48, 96), heads=(1, 2, 4, 8), allow_custom_dims=True)
         assert cfg.dims == (8, 24, 48, 96)
