@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import (ImageContainer, generate_synthetic, load_model,
-                   normalize_images, stratified_split, write_csv)
+                   stratified_split, write_csv)
 from .data import load_checkpoint  # noqa: F401 (a binding perfbench/tracer.py wraps)
 from .errors import ConfigError, InputError
 from .finetune import finetune_loop, predict_logits, predict_proba, tta_predict
@@ -28,6 +28,7 @@ from .metrics import (PredictionSet, apply_temperature, classification_metrics,
                       ece, fit_temperature, nll, reliability_bins,
                       temperature_at_bound)
 from .model import attention_rollout, forward, init_params
+from .model import normalize_images  # noqa: F401 (a binding perfbench/tracer.py wraps)
 from .ssl import init_projection_head, pretrain_loop
 from .tensor import RngStream, no_grad
 
@@ -51,7 +52,11 @@ def emit(**kv):
 
 
 def _run_config(args):
-    return RunConfig.load(args.config) if args.config else RunConfig()
+    """The run config and its model config. Every command builds the model
+    config, so a bad ``[model]`` section fails even where the model comes
+    from a checkpoint."""
+    run_cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    return run_cfg, run_cfg.model_config()
 
 
 def _outdir(args):
@@ -87,8 +92,8 @@ def _predictions(params, config, container, run_cfg):
             tta_predict(img, params, config, crop_ratio=float(ev["tta_crop_ratio"]))
             for img in container.images])
     else:
-        x = normalize_images(container.images, config.norm_mean, config.norm_std)
-        probs = predict_proba(x, params, config, batch=int(ev["batch_size"]))
+        probs = predict_proba(container.images, params, config,
+                              batch=int(ev["batch_size"]))
     return PredictionSet.from_probs(container.labels, probs)
 
 
@@ -96,8 +101,7 @@ def _predictions(params, config, container, run_cfg):
 # subcommands
 
 def cmd_gen_data(args):
-    run_cfg = _run_config(args)
-    config = run_cfg.model_config()
+    _, config = _run_config(args)
     out = _outdir(args)
     labeled, unlabeled = generate_synthetic(
         args.n_per_class, classes=config.num_classes,
@@ -112,8 +116,7 @@ def cmd_gen_data(args):
 
 
 def cmd_pretrain(args):
-    run_cfg = _run_config(args)
-    config = run_cfg.model_config()
+    run_cfg, config = _run_config(args)
     settings = run_cfg.pretrain_settings()
     out = _outdir(args)
     data = _load_container(args.data, config)
@@ -134,8 +137,7 @@ def cmd_pretrain(args):
 
 
 def cmd_finetune(args):
-    run_cfg = _run_config(args)
-    config = run_cfg.model_config()
+    run_cfg, config = _run_config(args)
     settings = run_cfg.finetune_settings()
     out = _outdir(args)
     train = _load_container(args.train, config, labeled=True,
@@ -158,7 +160,7 @@ def cmd_finetune(args):
 
 
 def cmd_eval(args):
-    run_cfg = _run_config(args)
+    run_cfg, _ = _run_config(args)
     out = _outdir(args)
     if args.preds:
         preds = PredictionSet.load_csv(args.preds)
@@ -201,14 +203,13 @@ def _logits_for_calibration(args):
 
         def logits_of(path):
             cont = _load_container(path, config, labeled=True)
-            x = normalize_images(cont.images, config.norm_mean, config.norm_std)
-            return predict_logits(x, params, config), cont.labels
+            return predict_logits(cont.images, params, config), cont.labels
 
     return (*logits_of(val), *(logits_of(test) if test else (None, None)))
 
 
 def cmd_calibrate(args):
-    run_cfg = _run_config(args)
+    run_cfg, _ = _run_config(args)
     out = _outdir(args)
     val_logits, val_y, test_logits, test_y = _logits_for_calibration(args)
     bins = int(run_cfg.get("eval", "ece_bins"))
@@ -245,10 +246,8 @@ def cmd_rollout(args):
     container = _load_container(args.data, config)
     if not 0 <= args.index < len(container):
         raise InputError(f"--index {args.index} outside container of {len(container)}")
-    image = normalize_images(container.images[args.index], config.norm_mean,
-                             config.norm_std)
     with no_grad():
-        res = forward(image, params, config, capture="final")
+        res = forward(container.images[args.index], params, config, capture="final")
     grid_map, full_map = attention_rollout(res.record)
     np.savetxt(os.path.join(out, "rollout_grid.csv"), grid_map,
                delimiter=",", fmt="%.9g")
@@ -264,6 +263,7 @@ def cmd_rollout(args):
 
 def cmd_mcnemar(args):
     from .metrics import mcnemar_test
+    _run_config(args)
     out = _outdir(args)
     a = PredictionSet.load_csv(args.preds_a)
     b = PredictionSet.load_csv(args.preds_b)

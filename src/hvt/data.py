@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (CheckpointCRCError, CheckpointError, CheckpointMagicError,
                      CheckpointManifestError, CheckpointVersionError,
-                     ContainerFormatError, InputError)
+                     ConfigError, ContainerFormatError, InputError)
 from .augment import hsv_to_rgb
 from .model import HVTConfig, param_shapes
 from .tensor import RngStream, Tensor
@@ -98,18 +98,6 @@ class ImageContainer:
         rows = np.frombuffer(blob, dtype=record, offset=28)
         return cls(images=rows["pix"].reshape(n, h, w, c).copy(),
                    labels=rows["label"].astype(np.int32))
-
-
-def normalize_images(images, mean, std):
-    """Per-channel standardization applied at load time before the model."""
-    images = np.asarray(images)
-    w, c = images.shape[-2:]
-    # on (..., W*C) rows with the stats tiled to match: broadcasting a
-    # length-C axis runs numpy's inner loop C elements at a time
-    mean = np.broadcast_to(np.asarray(mean, dtype=np.float32), (w, c)).reshape(-1)
-    std = np.broadcast_to(np.asarray(std, dtype=np.float32), (w, c)).reshape(-1)
-    rows = images.reshape(*images.shape[:-2], w * c)
-    return ((rows - mean) / std).astype(np.float32, copy=False).reshape(images.shape)
 
 
 # ----------------------------------------------------------------------
@@ -300,15 +288,23 @@ def load_model(path, config=None):
 
     The model is ``config``, or without it the checkpoint's own config
     snapshot (input stats included: a snapshot without them has the
-    defaults), which must be a model config either way. Every parameter the
-    model needs must be stored at its shape, otherwise a manifest error
-    names the offenders; other tensors (a pre-training checkpoint's
-    ``proj.*``) are ignored.
+    defaults), which must be a model config either way. A given ``config``
+    must keep the snapshot's input stats, since the parameters were trained
+    on pixels standardized with them; otherwise a ``ConfigError`` names
+    both. Every parameter the model needs must be stored at its shape,
+    otherwise a manifest error names the offenders; other tensors (a
+    pre-training checkpoint's ``proj.*``) are ignored.
     """
     arrays, snapshot, meta = load_checkpoint(path)
     stored = config_from_snapshot(snapshot)
     if config is None:
         config = stored
+    elif stored is not None and ((config.norm_mean, config.norm_std)
+                                 != (stored.norm_mean, stored.norm_std)):
+        raise ConfigError(
+            f"{path}: checkpoint was trained with norm_mean={stored.norm_mean}, "
+            f"norm_std={stored.norm_std}, but the config has "
+            f"norm_mean={config.norm_mean}, norm_std={config.norm_std}")
     if config is None:
         raise CheckpointManifestError(f"{path}: checkpoint has no config snapshot")
     expected = param_shapes(config)

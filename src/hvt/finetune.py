@@ -27,9 +27,10 @@ import numpy as np
 from . import tensor as T
 from .augment import (FinetunePolicy, finetune_augment, five_crop,
                       hflip, map_augment)
-from .data import normalize_images, save_checkpoint, write_csv
+from .data import save_checkpoint, write_csv
 from .errors import ConfigError, InputError
 from .model import forward
+from .model import normalize_images  # noqa: F401 (a binding perfbench/tracer.py wraps)
 from .optim import (AdamWState, EmaState, FreezeMask, adamw_step,
                     clip_grad_norm, ema_update, ema_weights, expand_lr_factors,
                     layerwise_lr_factors, onecycle_lr, run_steps, steps_per_epoch)
@@ -211,7 +212,8 @@ class FinetuneResult:
 
 
 def predict_logits(images, params, config, batch=64):
-    """Logits for an image array, ``batch`` images per forward, no graph."""
+    """Logits for an array of images with pixels in [0, 1], ``batch`` images
+    per forward, no graph."""
     with T.no_grad():
         out = [forward(images[start:start + batch], params, config).logits.numpy()
                for start in range(0, len(images), batch)]
@@ -219,14 +221,14 @@ def predict_logits(images, params, config, batch=64):
 
 
 def predict_proba(images, params, config, batch=64):
-    """Softmax probabilities for an image array, batched, no graph."""
+    """Softmax probabilities for an array of images with pixels in [0, 1],
+    batched, no graph."""
     return T.softmax(Tensor(predict_logits(images, params, config, batch)),
                      axis=-1).numpy()
 
 
 def _accuracy(params, config, images, labels):
-    x = normalize_images(images, config.norm_mean, config.norm_std)
-    return float(np.mean(np.argmax(predict_proba(x, params, config), axis=1) == labels))
+    return float(np.mean(np.argmax(predict_proba(images, params, config), axis=1) == labels))
 
 
 def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
@@ -264,8 +266,7 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
                 imgs, targets, rng.child("mix", epoch, start),
                 settings.mixup_p, settings.mixup_alpha,
                 settings.cutmix_p, settings.cutmix_alpha)
-        x = normalize_images(imgs, config.norm_mean, config.norm_std)
-        res = forward(x, params, config, mode="train",
+        res = forward(imgs, params, config, mode="train",
                       rng=rng.child("droppath", epoch, start))
         return combined_loss(res.logits, targets,
                              lambda_ce=settings.lambda_ce,
@@ -321,5 +322,4 @@ def tta_inputs(image, crop_ratio=0.875):
 def tta_predict(image, params, config, crop_ratio=0.875):
     """Average softmax output over the ten TTA variants of one image."""
     variants = np.stack(tta_inputs(image, crop_ratio))
-    x = normalize_images(variants, config.norm_mean, config.norm_std)
-    return predict_proba(x, params, config).mean(axis=0)
+    return predict_proba(variants, params, config).mean(axis=0)

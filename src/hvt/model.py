@@ -13,8 +13,9 @@ Conventions pinned here:
 
 * Input images are channels-last float arrays, a single ``(H, W, 3)`` image
   or a batch ``(B, H, W, 3)``. Pixels are data, not graph leaves.
-* Callers standardize pixels per channel with ``HVTConfig.norm_mean`` and
-  ``norm_std`` (``hvt.data.normalize_images``); checkpoints carry both.
+* Pixels lie in [0, 1]. ``patch_embed`` standardizes them per channel with
+  ``HVTConfig.norm_mean`` and ``norm_std`` where they enter the graph, so
+  every caller of ``forward`` passes raw pixels; checkpoints carry both stats.
 * Attention uses a learned output projection after head concatenation
   (disable with ``HVTConfig.use_output_proj=False``; this changes parameter
   counts).
@@ -110,8 +111,7 @@ class HVTConfig:
         return gh * gw
 
     # ------------------------------------------------------------------
-    # presets (tiny/desk sized for CPU experiments; base is this repo's own
-    # reduced variant, not claimed to match any external checkpoint)
+    # presets (tiny/desk sized for CPU experiments)
 
     @classmethod
     def xl(cls, **kw):
@@ -135,13 +135,6 @@ class HVTConfig:
         kw.setdefault("dims", (16, 32, 64, 128))
         kw.setdefault("heads", (2, 4, 8, 16))
         kw.setdefault("drop_path_max", 0.1)
-        return cls(**kw)
-
-    @classmethod
-    def base(cls, **kw):
-        kw.setdefault("depths", (2, 2, 12, 2))
-        kw.setdefault("dims", (128, 256, 512, 1024))
-        kw.setdefault("heads", (4, 8, 16, 32))
         return cls(**kw)
 
 
@@ -238,8 +231,21 @@ def _sub(params, prefix):
 # ----------------------------------------------------------------------
 # ops
 
+def normalize_images(images, mean, std):
+    """Per-channel standardization, ``(images - mean) / std`` as float32."""
+    images = np.asarray(images)
+    w, c = images.shape[-2:]
+    # on (..., W*C) rows with the stats tiled to match: broadcasting a
+    # length-C axis runs numpy's inner loop C elements at a time
+    mean = np.broadcast_to(np.asarray(mean, dtype=np.float32), (w, c)).reshape(-1)
+    std = np.broadcast_to(np.asarray(std, dtype=np.float32), (w, c)).reshape(-1)
+    rows = images.reshape(*images.shape[:-2], w * c)
+    return ((rows - mean) / std).astype(np.float32, copy=False).reshape(images.shape)
+
+
 def patch_embed(images, params, config):
-    """Project non-overlapping PxPx3 patches to stage-1 tokens.
+    """Standardize pixels in [0, 1] with the config's stats, then project
+    non-overlapping PxPx3 patches to stage-1 tokens.
 
     Accepts ``(H, W, 3)`` or ``(B, H, W, 3)``; returns ``(N, D1)`` or
     ``(B, N, D1)``. Pixels enter the graph as constants.
@@ -251,6 +257,7 @@ def patch_embed(images, params, config):
     h, w = config.input_size
     if arr.ndim != 4 or arr.shape[1:] != (h, w, 3):
         raise ShapeError(f"expected image shape (B, {h}, {w}, 3), got {arr.shape}")
+    arr = normalize_images(arr, config.norm_mean, config.norm_std)
     p = config.patch_size
     gh, gw = h // p, w // p
     b = arr.shape[0]
@@ -367,7 +374,7 @@ def patch_merge(x, w, grid):
 
 
 def forward(images, params, config, mode="infer", rng=None, capture="none"):
-    """Run the full backbone and head.
+    """Run the full backbone and head on pixels in [0, 1].
 
     ``capture`` selects attention recording: "none", "final" (last stage,
     what rollout consumes) or "all". Returns a :class:`ForwardResult`;

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import tensor as T
 from .augment import SimclrPolicy, map_augment, simclr_augment
-from .data import normalize_images, save_checkpoint, write_csv
+from .data import save_checkpoint, write_csv
 from .errors import ConfigError, ContractError, InputError
 from .model import forward
+from .model import normalize_images  # noqa: F401 (a binding perfbench/tracer.py wraps)
 from .optim import (AdamWState, adamw_step, clip_grad_norm, run_steps,
                     steps_per_epoch, warmup_cosine_lr)
 from .tensor import Tensor
@@ -164,8 +165,7 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
                                      out_size=config.input_size),
             list(idx))
         views = [p.view_a for p in pairs] + [p.view_b for p in pairs]
-        batch = normalize_images(np.stack(views), config.norm_mean, config.norm_std)
-        res = forward(batch, params, config, mode="train",
+        res = forward(np.stack(views), params, config, mode="train",
                       rng=rng.child("droppath", epoch, start))
         emb = project(res.features, head)
         return nt_xent_loss(emb, temperature=settings.temperature)

@@ -210,14 +210,6 @@ def as_tensor(x, dtype=None):
     return Tensor(x, dtype=dtype)
 
 
-def zeros(shape, dtype=np.float32, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=np.float32, requires_grad=False):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 def _make(data, parents, backward_fn):
     out = Tensor(data, dtype=data.dtype)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -324,22 +316,6 @@ def scale(a, s):
     s = float(s)
     data = a.data * a.data.dtype.type(s)
     return _make(data, (a,), lambda g: (g * s,))
-
-
-def add(a, b):
-    return elementwise(a, b, "add")
-
-
-def sub(a, b):
-    return elementwise(a, b, "sub")
-
-
-def mul(a, b):
-    return elementwise(a, b, "mul")
-
-
-def div(a, b):
-    return elementwise(a, b, "div")
 
 
 def exp(a):

@@ -8,6 +8,9 @@ import os
 import numpy as np
 import pytest
 
+from hvt import finetune as F
+from hvt import model as M
+from hvt import ssl as S
 from hvt.cli import main
 from hvt.config import RunConfig
 from hvt.data import ImageContainer, save_checkpoint
@@ -383,6 +386,42 @@ class TestInputStandardization:
                             ("calibration.json", "test_predictions_calibrated.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_model_sees_raw_pixels_everywhere(self, tmp_path, monkeypatch):
+        # the model standardizes its input once; a caller that standardized
+        # too would hand it pixels outside [0, 1]
+        seen, real = {}, M.normalize_images
+        monkeypatch.setattr(M, "normalize_images", lambda x, mean, std: (
+            seen.setdefault(stage, []).append((np.min(x), np.max(x))),
+            real(x, mean, std))[1])
+        cfg = write_cfg(tmp_path, "[eval]\ntta = true\n")
+        config = RunConfig.load(cfg).model_config()
+        data = TestContainerChecks._container(tmp_path, 8, 64)
+        images = ImageContainer.load(data)
+        stage = "pretrain_loop"
+        params = init_params(config, RngStream(0))
+        S.pretrain_loop(params, S.init_projection_head(64, RngStream(1), out_dim=8),
+                        images.images, config,
+                        S.PretrainSettings(epochs=1, batch_size=4, accum_steps=1,
+                                           warmup_epochs=0.5, max_steps=2),
+                        RngStream(2))
+        stage = "finetune_loop"
+        F.finetune_loop(params, images, images, config,
+                        F.FinetuneSettings(epochs=2, batch_size=4, accum_steps=1,
+                                           freeze_epochs=1, mixup_p=1.0),
+                        RngStream(3))
+        stage = "tta_predict"
+        F.tta_predict(images.images[0], params, config)
+        ckpt = str(fresh_checkpoint(tmp_path, cfg))
+        for stage, args in (("eval", ["--data", data]),
+                            ("calibrate", ["--val", data, "--test", data]),
+                            ("rollout", ["--data", data])):
+            assert main([stage, "--checkpoint", ckpt, *args, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert list(seen) == ["pretrain_loop", "finetune_loop", "tta_predict",
+                              "eval", "calibrate", "rollout"]
+        for stage, ranges in seen.items():
+            assert all(0.0 <= lo and hi <= 1.0 for lo, hi in ranges), (stage, ranges)
+
     def test_rollout_predicts_as_eval(self, trained, tmp_path, capsys):
         ckpt, data, configs = trained
         test = str(data / "test.hvtimg")
@@ -498,6 +537,22 @@ class TestFullPipeline:
                    "--config", str(bigger), "--seed", "4", "--out", str(run)])
         assert rc == 1
 
+    def test_init_checkpoint_with_other_stats_rejected(self, tmp_path, capsys):
+        # the warm start's backbone was trained on pixels standardized with
+        # its own stats; fine-tuning must not swap them for the run config's
+        cfg = write_cfg(tmp_path)
+        config = dataclasses.replace(RunConfig.load(cfg).model_config(),
+                                     norm_mean=(0.3,) * 3, norm_std=(0.2,) * 3)
+        ckpt = tmp_path / "stats.ckpt"
+        save_checkpoint(ckpt, init_params(config, RngStream(0)), config)
+        data = TestContainerChecks._container(tmp_path, 8, 64)
+        rc = main(["finetune", "--train", data, "--val", data, "--init", str(ckpt),
+                   "--config", cfg, "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "kind=ConfigError" in out and "norm_mean=(0.3, 0.3, 0.3)" in out
+        assert "event=finetune_start" not in out
+
     def test_init_checkpoint_missing_a_tensor_rejected(self, tmp_path, capsys):
         # a warm start needs every model tensor; none keeps its fresh init
         cfg = write_cfg(tmp_path)
@@ -527,15 +582,25 @@ class TestConfigFile:
         assert main(["gen-data", "--out", str(tmp_path / "o"),
                      "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune"])
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "eval",
+                                         "calibrate", "rollout", "mcnemar"])
     @pytest.mark.parametrize("stat", ["norm_mean = 0.5,0.5", "norm_std = 0,0,0",
                                       "norm_mean = 0.5,nan,0.5"],
                              ids=["two-values", "zero-std", "nan"])
     def test_bad_norm_stats_exit_1(self, tmp_path, capsys, command, stat):
+        # also where the model comes from a checkpoint or is not used
         cfg = write_cfg(tmp_path, model_extra=stat + "\n")
         data = TestContainerChecks._container(tmp_path, 8, 64)
+        (tmp_path / "good").mkdir()
+        ckpt = str(fresh_checkpoint(tmp_path / "good", write_cfg(tmp_path / "good")))
+        preds = str(tmp_path / "p.csv")
+        perfect_preds_csv(preds)
         args = {"gen-data": [], "pretrain": ["--data", data],
-                "finetune": ["--train", data, "--val", data]}[command]
+                "finetune": ["--train", data, "--val", data],
+                "eval": ["--checkpoint", ckpt, "--data", data],
+                "calibrate": ["--checkpoint", ckpt, "--val", data],
+                "rollout": ["--checkpoint", ckpt, "--data", data],
+                "mcnemar": ["--preds-a", preds, "--preds-b", preds]}[command]
         rc = main([command, *args, "--config", cfg, "--out", str(tmp_path / "o")])
         out = capsys.readouterr().out
         assert rc == 1

@@ -10,8 +10,8 @@ import pytest
 from hvt import data as D
 from hvt.errors import (CheckpointCRCError, CheckpointError, CheckpointMagicError,
                         CheckpointManifestError, CheckpointVersionError,
-                        ContainerFormatError, InputError)
-from hvt.model import HVTConfig, init_params, param_shapes
+                        ConfigError, ContainerFormatError, InputError)
+from hvt.model import HVTConfig, init_params, normalize_images, param_shapes
 from hvt.ssl import linear_probe
 from hvt.tensor import RngStream
 
@@ -69,7 +69,7 @@ class TestImageContainer:
 
     def test_normalize(self):
         img = np.full((1, 2, 2, 3), 0.75, dtype=np.float32)
-        out = D.normalize_images(img, (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
+        out = normalize_images(img, (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
         np.testing.assert_allclose(out, 1.0)
 
 
@@ -241,6 +241,20 @@ class TestCheckpoint:
         assert config == cfg
         assert config.norm_mean == (0.5, 0.5, 0.5)
         assert config.norm_std == (0.25, 0.25, 0.25)
+
+    def test_given_config_must_keep_the_snapshot_stats(self, tmp_path):
+        # the parameters were trained on pixels standardized with the
+        # snapshot's stats; a snapshot without them has the defaults
+        stats = HVTConfig.tiny(norm_mean=(0.3, 0.4, 0.5), norm_std=(0.2, 0.1, 0.3))
+        old = D._snapshot_config(HVTConfig.tiny())
+        del old["norm_mean"], old["norm_std"]
+        for saved, same, other in ((stats, stats, HVTConfig.tiny()),
+                                   (old, HVTConfig.tiny(), stats)):
+            path = tmp_path / "c.ckpt"
+            D.save_checkpoint(path, init_params(stats, RngStream(7)), saved)
+            assert D.load_model(path, same)[1] == same
+            with pytest.raises(ConfigError, match="norm_mean"):
+                D.load_model(path, other)
 
     def test_snapshot_carries_norm_stats(self, tmp_path):
         cfg = HVTConfig.tiny(norm_mean=(0.3, 0.4, 0.5), norm_std=(0.2, 0.1, 0.3))

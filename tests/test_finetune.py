@@ -208,19 +208,6 @@ class TestFinetuneLoop:
                            for r in res.log])
         assert curves[0] == curves[1]
 
-    def test_standardizes_with_config_stats(self, monkeypatch):
-        # training batches and both per-epoch validations
-        train, val, _ = _desk_data(2)
-        cfg = HVTConfig.tiny(drop_path_max=0.0, norm_mean=(0.3, 0.4, 0.5),
-                             norm_std=(0.2, 0.1, 0.3))
-        seen = []
-        real = F.normalize_images
-        monkeypatch.setattr(F, "normalize_images", lambda x, mean, std: (
-            seen.append((mean, std)), real(x, mean, std))[1])
-        F.finetune_loop(init_params(cfg, RngStream(4)), train, val, cfg,
-                        _fast_settings(epochs=1), RngStream(5))
-        assert len(seen) > 2 and set(seen) == {(cfg.norm_mean, cfg.norm_std)}
-
     def test_best_checkpoint_and_logs(self, tmp_path):
         train, val, _ = _desk_data(3)
         cfg = HVTConfig.tiny(drop_path_max=0.0)
@@ -300,11 +287,7 @@ class TestTTA:
         np.testing.assert_allclose(variants[9], variants[4], atol=1e-6)
         cfg = HVTConfig.tiny(drop_path_max=0.0)
         params = init_params(cfg, RngStream(3))
-        from hvt.data import normalize_images
-        probs = F.predict_proba(normalize_images(np.stack(variants),
-                                                 np.array([0.5] * 3),
-                                                 np.array([0.25] * 3)),
-                                params, cfg)
+        probs = F.predict_proba(np.stack(variants), params, cfg)
         for a, b in ((5, 1), (6, 0), (7, 3), (8, 2), (9, 4)):
             np.testing.assert_allclose(probs[a], probs[b], atol=1e-5)
 
@@ -313,9 +296,7 @@ class TestTTA:
                              norm_std=(0.2, 0.1, 0.3))
         params = init_params(cfg, RngStream(5))
         img = np.random.default_rng(5).random((64, 64, 3), dtype=np.float32)
-        from hvt.data import normalize_images
-        x = normalize_images(np.stack(F.tta_inputs(img)), (0.3, 0.4, 0.5), (0.2, 0.1, 0.3))
-        want = F.predict_proba(x, params, cfg).mean(axis=0)
+        want = F.predict_proba(np.stack(F.tta_inputs(img)), params, cfg).mean(axis=0)
         assert np.array_equal(F.tta_predict(img, params, cfg), want)
         assert not np.array_equal(F.tta_predict(img, params, HVTConfig.tiny(drop_path_max=0.0)),
                                   want)

@@ -15,9 +15,9 @@ import pytest
 
 from hvt import augment as A
 from hvt import finetune as F
+from hvt import model as M
 from hvt import tensor as T
-from hvt.data import normalize_images
-from hvt.model import HVTConfig, forward, init_params
+from hvt.model import HVTConfig, forward, init_params, normalize_images
 
 _MATMUL = T.matmul
 
@@ -28,11 +28,11 @@ _MATMUL = T.matmul
 def ref_layer_norm(x, gain, bias, eps=1e-5):
     gain, bias = T.as_tensor(gain), T.as_tensor(bias)
     mu = T.reduce(x, "mean", axis=-1, keepdims=True)
-    centered = T.sub(x, T.broadcast_to(mu, x.shape))
-    var = T.reduce(T.mul(centered, centered), "mean", axis=-1, keepdims=True)
+    centered = x - T.broadcast_to(mu, x.shape)
+    var = T.reduce(centered * centered, "mean", axis=-1, keepdims=True)
     inv = T.power(T._shift(var, eps), -0.5)
-    xhat = T.mul(centered, T.broadcast_to(inv, x.shape))
-    return T.add(T.mul(xhat, gain), bias)
+    xhat = centered * T.broadcast_to(inv, x.shape)
+    return xhat * gain + bias
 
 
 def ref_matmul(a, b, bias=None):
@@ -66,11 +66,11 @@ def ref_predict_proba(images, params, config, batch=64):
 def use_reference_engine(monkeypatch):
     monkeypatch.setattr(T, "layer_norm", ref_layer_norm)
     monkeypatch.setattr(T, "matmul", ref_matmul)
+    monkeypatch.setattr(M, "normalize_images", ref_normalize_images)
 
 
 def use_reference_inference(monkeypatch):
     use_reference_engine(monkeypatch)
-    monkeypatch.setattr(F, "normalize_images", ref_normalize_images)
     monkeypatch.setattr(F, "five_crop", ref_five_crop)
 
 
@@ -99,8 +99,7 @@ class TestInferenceBitIdentical:
     @pytest.mark.parametrize("batched", [True, False])
     def test_forward_logits_and_every_attention_block(self, monkeypatch, batched):
         params, config = desk_model()
-        x = normalize_images(images(4), (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
-        x = x if batched else x[0]
+        x = images(4) if batched else images(4)[0]
         with T.no_grad():
             got = forward(x, params, config, capture="all")
             use_reference_engine(monkeypatch)
@@ -123,7 +122,7 @@ class TestBatchedPrediction:
     @pytest.mark.parametrize("batch", [3, 64])
     def test_probabilities_are_the_softmax_per_batch(self, batch):
         params, config = desk_model()
-        x = normalize_images(images(7), (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
+        x = images(7)
         logits = F.predict_logits(x, params, config, batch=batch)
         with T.no_grad():
             want = forward(x[:batch], params, config).logits.numpy()

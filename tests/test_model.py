@@ -22,7 +22,7 @@ class TestConfig:
         assert cfg.tokens(0) == 1024
 
     def test_token_and_dim_chain_any_valid_config(self):
-        for cfg in (HVTConfig.xl(), HVTConfig.tiny(), HVTConfig.desk(), HVTConfig.base()):
+        for cfg in (HVTConfig.xl(), HVTConfig.tiny(), HVTConfig.desk()):
             for s in range(cfg.n_stages - 1):
                 assert cfg.tokens(s + 1) == cfg.tokens(s) // 4
                 assert cfg.dims[s + 1] == 2 * cfg.dims[s]
@@ -119,7 +119,7 @@ class TestPatchEmbed:
         assert tokens.shape == (64, cfg.dims[0])
 
     def test_zero_image_zero_bias_gives_zero_tokens(self):
-        cfg = tiny64()
+        cfg = tiny64(norm_mean=(0.0, 0.0, 0.0))
         params = M.init_params(cfg, RngStream(3))
         tokens = M.patch_embed(np.zeros((64, 64, 3), np.float32), params, cfg)
         assert np.all(tokens.numpy() == 0.0)
@@ -138,8 +138,8 @@ class TestPatchEmbed:
         tokens = M.patch_embed(img, params, cfg).numpy()
         w = params["patch_embed.w"].numpy()
         b = params["patch_embed.b"].numpy()
-        # token for grid cell (2, 3) computed by hand
-        patch = img[16:24, 24:32, :].reshape(-1)
+        # token for grid cell (2, 3) computed by hand, on standardized pixels
+        patch = ((img[16:24, 24:32, :] - 0.5) / 0.25).reshape(-1)
         np.testing.assert_allclose(tokens[2 * 8 + 3], patch @ w + b, rtol=1e-5, atol=1e-6)
 
 
@@ -166,8 +166,8 @@ class TestMHA:
     def test_zero_query_gives_uniform_attention(self):
         rng = np.random.default_rng(1)
         p = _mha_params(rng, 4)
-        p["wq"] = T.zeros((4, 4), np.float64, requires_grad=True)
-        p["bq"] = T.zeros(4, np.float64, requires_grad=True)
+        p["wq"] = Tensor(np.zeros((4, 4)), requires_grad=True)
+        p["bq"] = Tensor(np.zeros(4), requires_grad=True)
         x = Tensor(rng.normal(size=(5, 4)), dtype=np.float64)
         out, attn = M.mha(x, p, heads=2)
         np.testing.assert_allclose(attn, np.full((2, 5, 5), 0.2), atol=1e-12)
@@ -235,8 +235,8 @@ class TestMHA:
 
 class TestFFN:
     def test_zero_weights_zero_output(self):
-        p = {"w1": T.zeros((4, 16), np.float64), "b1": T.zeros(16, np.float64),
-             "w2": T.zeros((16, 4), np.float64), "b2": T.zeros(4, np.float64)}
+        p = {"w1": Tensor(np.zeros((4, 16))), "b1": Tensor(np.zeros(16)),
+             "w2": Tensor(np.zeros((16, 4))), "b2": Tensor(np.zeros(4))}
         out = M.ffn(Tensor(np.ones((3, 4)), dtype=np.float64), p)
         assert np.all(out.numpy() == 0.0)
 
@@ -457,6 +457,25 @@ class TestForward:
         c = M.forward(imgs, params, cfg, mode="train", rng=RngStream(2)).logits.numpy()
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_standardizes_pixels_with_config_stats(self, batched):
+        # under stats (m, s), forward is forward under identity stats on the
+        # reference-standardized pixels, bit for bit, gradients included
+        mean, std = (0.3, 0.4, 0.5), (0.2, 0.1, 0.3)
+        imgs = np.random.default_rng(7).random((3, 64, 64, 3), dtype=np.float32)
+        imgs = imgs if batched else imgs[0]
+        ref = ((imgs - np.array(mean, np.float32)) / np.array(std, np.float32)).astype(np.float32)
+        runs = []
+        for stats, x in (((mean, std), imgs), (((0.0,) * 3, (1.0,) * 3), ref)):
+            cfg = HVTConfig.tiny(drop_path_max=0.5, norm_mean=stats[0], norm_std=stats[1])
+            params = M.init_params(cfg, RngStream(8))
+            res = M.forward(x, params, cfg, mode="train", rng=RngStream(9))
+            res.logits.sum().backward()
+            runs.append((res.logits.numpy(), {k: t.grad for k, t in params.items()}))
+        (logits, grads), (want_logits, want_grads) = runs
+        assert np.array_equal(logits, want_logits)
+        assert all(np.array_equal(grads[k], want_grads[k]) for k in want_grads)
 
 
 class TestRollout:

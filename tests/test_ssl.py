@@ -205,19 +205,6 @@ class TestPretrainLoop:
         expected = math.log(2 * 4 - 1)
         assert abs(result.log[0]["loss"] - expected) < 0.5
 
-    def test_standardizes_with_config_stats(self, monkeypatch):
-        _, params, head, images = _tiny_setup(seed=1)
-        cfg = HVTConfig.tiny(drop_path_max=0.0, norm_mean=(0.3, 0.4, 0.5),
-                             norm_std=(0.2, 0.1, 0.3))
-        seen = []
-        real = S.normalize_images
-        monkeypatch.setattr(S, "normalize_images", lambda x, mean, std: (
-            seen.append((mean, std)), real(x, mean, std))[1])
-        settings = S.PretrainSettings(epochs=1, batch_size=4, accum_steps=1,
-                                      warmup_epochs=0.25, max_steps=1)
-        S.pretrain_loop(params, head, images, cfg, settings, RngStream(3))
-        assert seen == [(cfg.norm_mean, cfg.norm_std)]
-
     def test_same_seed_identical_loss_curves(self):
         settings = S.PretrainSettings(epochs=1, batch_size=4, accum_steps=2,
                                       warmup_epochs=0.25, max_steps=3)

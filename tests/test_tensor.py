@@ -154,24 +154,24 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_vector_maps_to_zero(self):
         x = t64(np.full((4,), 3.7))
-        out = T.layer_norm(x, T.ones(4, np.float64), T.zeros(4, np.float64), eps=1e-5)
+        out = T.layer_norm(x, t64(np.ones(4)), t64(np.zeros(4)), eps=1e-5)
         np.testing.assert_allclose(out.numpy(), np.zeros(4), atol=1e-4)
 
     def test_two_point_standardization(self):
         x = t64([1.0, 3.0])
-        out = T.layer_norm(x, T.ones(2, np.float64), T.zeros(2, np.float64), eps=1e-12)
+        out = T.layer_norm(x, t64(np.ones(2)), t64(np.zeros(2)), eps=1e-12)
         np.testing.assert_allclose(out.numpy(), [-1.0, 1.0], atol=1e-5)
 
     def test_pre_affine_moments(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 9))
-        out = T.layer_norm(t64(x), T.ones(9, np.float64), T.zeros(9, np.float64)).numpy()
+        out = T.layer_norm(t64(x), t64(np.ones(9)), t64(np.zeros(9))).numpy()
         assert np.all(np.abs(out.mean(axis=-1)) < 1e-5)
         assert np.all(np.abs(out.var(axis=-1) - 1.0) < 1e-3)
 
     def test_gain_bias_shape_checked(self):
         with pytest.raises(ShapeError):
-            T.layer_norm(t64(np.zeros((2, 4))), T.ones(3, np.float64), T.zeros(4, np.float64))
+            T.layer_norm(t64(np.zeros((2, 4))), t64(np.ones(3)), t64(np.zeros(4)))
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -206,7 +206,7 @@ class TestLayerNorm:
 
     def test_mixed_dtype_rejected(self):
         with pytest.raises(ShapeError):
-            T.layer_norm(t64(np.zeros((2, 4))), T.ones(4), T.zeros(4, np.float64))
+            T.layer_norm(t64(np.zeros((2, 4))), T.Tensor(np.ones(4, np.float32)), t64(np.zeros(4)))
 
 
 class TestGelu:
@@ -244,7 +244,7 @@ class TestGelu:
 class TestElementwise:
     def test_add_zero_is_identity(self):
         x = np.arange(4.0)
-        out = T.elementwise(t64(x), T.zeros(4, np.float64), "add")
+        out = T.elementwise(t64(x), t64(np.zeros(4)), "add")
         np.testing.assert_array_equal(out.numpy(), x)
 
     def test_mean_of_small_vector(self):
