@@ -1,9 +1,10 @@
 """Command-line pipeline: gen-data, pretrain, finetune, eval, calibrate,
 rollout, mcnemar.
 
-All progress goes to stdout as line-oriented ``key=value`` records; file
-artifacts (containers, checkpoints, CSV logs, JSON reports) land in the
-``--out`` directory and never embed timestamps, so identical config and
+All progress goes to stdout as line-oriented ``key=value`` records, each
+training step or epoch as it ends; file artifacts (containers,
+checkpoints, CSV logs, JSON reports) land in the ``--out`` directory,
+written atomically, and never embed timestamps, so identical config and
 seed reproduce identical bytes.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal error.
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .data import (ImageContainer, generate_synthetic, load_model,
+from .data import (ImageContainer, atomic_open, generate_synthetic, load_model,
                    stratified_split, write_csv)
 from .data import load_checkpoint  # noqa: F401 (a binding perfbench/tracer.py wraps)
 from .errors import ConfigError, InputError
@@ -48,7 +49,7 @@ def emit(**kv):
         if isinstance(v, float):
             v = f"{v:.6g}"
         parts.append(f"{k}={v}")
-    print(" ".join(parts))
+    print(" ".join(parts), flush=True)
 
 
 def _run_config(args):
@@ -127,12 +128,12 @@ def cmd_pretrain(args):
                                 out_dim=settings.proj_dim)
     emit(event="pretrain_start", images=len(data), steps=settings.max_steps or "all")
     result = pretrain_loop(params, head, data.images, config, settings,
-                           rng.child("pretrain"), out_dir=out)
-    for row in result.log:
-        emit(event="pretrain_step", **row)
+                           rng.child("pretrain"), out_dir=out,
+                           progress=lambda row: emit(event="pretrain_step", **row))
     emit(event="pretrain_done", steps=len(result.log),
          final_loss=result.log[-1]["loss"] if result.log else float("nan"),
-         checkpoint=result.checkpoints[-1] if result.checkpoints else "")
+         checkpoint=result.checkpoints[-1] if result.checkpoints else "",
+         augment=result.augment)
     return 0
 
 
@@ -151,11 +152,10 @@ def cmd_finetune(args):
         params = init_params(config, rng)
     emit(event="finetune_start", train=len(train), val=len(val))
     result = finetune_loop(params, train, val, config, settings,
-                           rng.child("finetune"), out_dir=out)
-    for row in result.log:
-        emit(event="finetune_epoch", **row)
+                           rng.child("finetune"), out_dir=out,
+                           progress=lambda row: emit(event="finetune_epoch", **row))
     emit(event="finetune_done", best_epoch=result.best_epoch,
-         best_val_acc=result.best_val_acc)
+         best_val_acc=result.best_val_acc, augment=result.augment)
     return 0
 
 
@@ -175,7 +175,7 @@ def cmd_eval(args):
     bins = int(run_cfg.get("eval", "ece_bins"))
     payload = report.to_dict()
     payload["ece"] = ece(preds, bins=bins)
-    with open(os.path.join(out, "metrics.json"), "w") as f:
+    with atomic_open(os.path.join(out, "metrics.json")) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=2))
     write_csv(os.path.join(out, "reliability_bins.csv"),
               reliability_bins(preds, bins=bins).rows(),
@@ -231,7 +231,7 @@ def cmd_calibrate(args):
         payload["test_ece_before"] = ece(before, bins=bins)
         payload["test_ece_after"] = ece(after, bins=bins)
         after.save_csv(os.path.join(out, "test_predictions_calibrated.csv"))
-    with open(os.path.join(out, "calibration.json"), "w") as f:
+    with atomic_open(os.path.join(out, "calibration.json")) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=2))
     emit(event="calibrate_done", temperature=t_star, at_bound=payload["at_bound"],
          val_ece_before=payload["val_ece_before"],
@@ -249,10 +249,9 @@ def cmd_rollout(args):
     with no_grad():
         res = forward(container.images[args.index], params, config, capture="final")
     grid_map, full_map = attention_rollout(res.record)
-    np.savetxt(os.path.join(out, "rollout_grid.csv"), grid_map,
-               delimiter=",", fmt="%.9g")
-    np.savetxt(os.path.join(out, "rollout_full.csv"), full_map,
-               delimiter=",", fmt="%.9g")
+    for name, heatmap in (("rollout_grid.csv", grid_map), ("rollout_full.csv", full_map)):
+        with atomic_open(os.path.join(out, name)) as f:
+            np.savetxt(f, heatmap, delimiter=",", fmt="%.9g")
     pred = int(np.argmax(res.logits.numpy()))
     emit(event="rollout_done", index=args.index, predicted=pred,
          grid=f"{grid_map.shape[0]}x{grid_map.shape[1]}",
@@ -274,7 +273,7 @@ def cmd_mcnemar(args):
                "c": int(np.sum((a.y_pred != a.y_true) & (b.y_pred == b.y_true))),
                "statistic": stat, "p_value": p,
                "significant_at_0.05": bool(p < 0.05)}
-    with open(os.path.join(out, "mcnemar.json"), "w") as f:
+    with atomic_open(os.path.join(out, "mcnemar.json")) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=2))
     emit(event="mcnemar_done", statistic=stat, p_value=p)
     return 0

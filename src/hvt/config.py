@@ -19,6 +19,7 @@ import configparser
 import io
 
 from .augment import FinetunePolicy, SimclrPolicy
+from .data import atomic_open
 from .errors import ConfigError
 from .finetune import FinetuneSettings
 from .model import HVTConfig
@@ -173,7 +174,7 @@ class RunConfig:
         return out.getvalue()
 
     def save(self, path):
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             f.write(self.dump())
         return path
 

@@ -13,6 +13,9 @@ JSON snapshot (config + metadata), length-prefixed JSON tensor manifest
 and a trailing u32 CRC32 of the payload. Round trips are bit-exact and
 the CRC is verified on load.
 
+Every artifact file the package writes goes through :func:`atomic_open`:
+a failed write leaves the old file, or none, never a partial one.
+
 The synthetic dataset is a stand-in classification task: class-conditional
 procedural textures (per-class lesion blob count, blob color polarity and
 background hue) dense enough that aggressive crops still carry the class
@@ -22,8 +25,10 @@ signal.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,6 +43,22 @@ from .tensor import RngStream, Tensor
 IMG_MAGIC = b"HVTIMG1\x00"
 CKPT_MAGIC = b"HVTCKPT1"
 CKPT_VERSION = 1
+
+
+@contextmanager
+def atomic_open(path, mode="w"):
+    """``open(path, mode)`` for writing, through a temporary file beside
+    ``path`` that replaces it only once the block completes, so an error or
+    a killed process mid-write never leaves a partial file at ``path``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +92,7 @@ class ImageContainer:
         rows = np.empty(n, dtype=record)
         rows["label"] = self.labels
         rows["pix"] = self.images.reshape(n, h * w * c)
-        with open(path, "wb") as f:
+        with atomic_open(path, "wb") as f:
             f.write(IMG_MAGIC)
             f.write(struct.pack("<5I", n, h, w, c, 0))
             f.write(rows.tobytes())
@@ -222,7 +243,7 @@ def save_checkpoint(path, arrays, config=None, meta=None):
                           sort_keys=True, separators=(",", ":")).encode()
     manifest_blob = json.dumps(manifest, sort_keys=True,
                                separators=(",", ":")).encode()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", CKPT_VERSION))
         f.write(struct.pack("<I", len(snapshot)))
@@ -321,7 +342,7 @@ def load_model(path, config=None):
 
 def write_csv(path, rows, fields):
     """Write dict rows as CSV; floats use repr so reads round-trip."""
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(",".join(fields) + "\n")
         for row in rows:
             f.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])

@@ -14,11 +14,14 @@ ties) is retained.
 
 Randomness is split into purpose-keyed child streams (shuffle, per-sample
 augmentation, batch mixing, stochastic depth), so disabling one stage
-never shifts the draws of another.
+never shifts the draws of another. A micro-batch's augmentation and mixing
+are one job, :func:`finetune_batch`, that the step driver runs in its
+batch worker or in this process with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -209,6 +212,7 @@ class FinetuneResult:
     ema: EmaState
     log: list             # rows: {epoch, lr, train_loss, val_acc, val_acc_ema}
     checkpoints: list
+    augment: str          # "worker" or "inline": where micro-batches were made
 
 
 def predict_logits(images, params, config, batch=64):
@@ -231,8 +235,29 @@ def _accuracy(params, config, images, labels):
     return float(np.mean(np.argmax(predict_proba(images, params, config), axis=1) == labels))
 
 
-def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
-    """Supervised training over labeled containers; see module docstring."""
+def finetune_batch(images, labels, settings, rngs, mix_rng, classes, out_size):
+    """One micro-batch's training images and soft targets: each image
+    augmented from its own stream in ``rngs`` (unless the policy is None),
+    then the batch mixed from ``mix_rng``. The step driver's job for
+    fine-tuning."""
+    if settings.policy is not None:
+        images = np.stack(map_augment(
+            lambda i: finetune_augment(images[i], settings.policy, rngs[i],
+                                       out_size=out_size),
+            range(len(images))))
+    targets = to_onehot(labels, classes)
+    if len(images) >= 2:
+        images, targets = apply_batch_mixing(
+            images, targets, mix_rng, settings.mixup_p, settings.mixup_alpha,
+            settings.cutmix_p, settings.cutmix_alpha)
+    return images, targets
+
+
+def finetune_loop(params, train, val, config, settings, rng, out_dir=None,
+                  progress=None):
+    """Supervised training over labeled containers; see module docstring.
+    ``progress(row)``, if given, sees each epoch's log row when it is
+    logged."""
     if len(train) == 0 or len(val) == 0:
         raise InputError("finetune_loop needs non-empty train and val splits")
     classes = config.num_classes
@@ -251,21 +276,15 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
     best_acc, best_epoch, best_arrays = -1.0, -1, None
     lr_t = 0.0
 
-    def micro_loss(epoch, start, idx):
-        if settings.policy is not None:
-            imgs = np.stack(map_augment(
-                lambda k: finetune_augment(train.images[int(k)], settings.policy,
-                                           rng.child("aug", epoch, int(k)),
-                                           out_size=config.input_size),
-                list(idx)))
-        else:
-            imgs = train.images[idx]
-        targets = to_onehot(train.labels[idx], classes)
-        if len(idx) >= 2:
-            imgs, targets = apply_batch_mixing(
-                imgs, targets, rng.child("mix", epoch, start),
-                settings.mixup_p, settings.mixup_alpha,
-                settings.cutmix_p, settings.cutmix_alpha)
+    def make_batch(epoch, start, idx):
+        rngs = ([rng.child("aug", epoch, int(k)) for k in idx]
+                if settings.policy is not None else None)
+        return functools.partial(finetune_batch, train.images[idx], train.labels[idx],
+                                 settings, rngs, rng.child("mix", epoch, start),
+                                 classes, config.input_size)
+
+    def batch_loss(epoch, start, batch):
+        imgs, targets = batch
         res = forward(imgs, params, config, mode="train",
                       rng=rng.child("droppath", epoch, start))
         return combined_loss(res.logits, targets,
@@ -291,11 +310,14 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
         logs.append({"epoch": epoch + 1, "lr": float(lr_t),
                      "train_loss": float(np.mean(losses)),
                      "val_acc": val_acc, "val_acc_ema": val_acc_ema})
+        if progress is not None:
+            progress(logs[-1])
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch + 1
             best_arrays = {k: t.data.copy() for k, t in params.items()}
 
-    run_steps(params, n, settings, rng, micro_loss, apply_step, end_epoch)
+    _, augment = run_steps(params, n, settings, rng, make_batch, batch_loss,
+                           apply_step, end_epoch)
     if out_dir:
         write_csv(f"{out_dir}/finetune_log.csv", logs,
                   ("epoch", "lr", "train_loss", "val_acc", "val_acc_ema"))
@@ -307,7 +329,7 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None):
             f"{out_dir}/finetune_final.ckpt", params, config,
             {"phase": "finetune", "epochs_run": len(logs)}))
     return FinetuneResult(params, best_arrays, best_epoch, best_acc, ema,
-                          logs, paths)
+                          logs, paths, augment)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .data import atomic_open
 from .errors import ConfigError, InputError
 
 ECE_BINS = 15
@@ -61,7 +62,7 @@ class PredictionSet:
     def save_csv(self, path):
         c = self.n_classes
         header = ["sample_id", "true_label", "pred_label"] + [f"p_{i}" for i in range(c)]
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             f.write(",".join(header) + "\n")
             for i in range(len(self.y_true)):
                 row = [str(i), str(int(self.y_true[i])), str(int(self.y_pred[i]))]

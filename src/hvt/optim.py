@@ -3,17 +3,29 @@ layer-wise decay, EMA.
 
 Everything operates on the flat ``{name: Tensor}`` parameter dict from
 ``hvt.model``. :func:`run_steps` is the one loop over epochs and
-micro-batches: it calls ``backward`` on each micro-batch loss and hands the
-averaged gradients to the caller's step. Gradients travel as plain
-``{name: ndarray}`` dicts so the optimizer stays decoupled from the
-autodiff graph. A single owner mutates parameters and optimizer state;
-snapshots for evaluation go through :func:`ema_swap_for_eval`, which is an
-exact, reversible array exchange.
+micro-batches. A loop hands it two callbacks: ``make_batch`` plans a
+micro-batch as a picklable job (augmentation and mixing) and
+``batch_loss`` runs the forward pass and the loss on the job's result.
+The driver calls ``backward`` on each loss and hands the averaged
+gradients to the caller's step. Where a second core is free, one forked
+worker process makes the next micro-batch while the current one trains;
+the job computes the same bits in either process, so results do not
+depend on where it ran. Gradients travel as plain ``{name: ndarray}``
+dicts so the optimizer stays decoupled from the autodiff graph. A single
+owner mutates parameters and optimizer state; snapshots for evaluation go
+through :func:`ema_swap_for_eval`, which is an exact, reversible array
+exchange.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,26 +83,63 @@ def steps_per_epoch(n, settings):
     return math.ceil(math.ceil(n / settings.batch_size) / settings.accum_steps)
 
 
-def run_steps(params, n, settings, rng, micro_loss, apply_step, end_epoch=None):
-    """Gradient accumulation over ``settings.epochs`` shuffled epochs.
-
-    Each epoch draws its order from ``rng.child("shuffle", epoch)`` and
-    cuts it into micro-batches of ``batch_size``; ``micro_loss(epoch,
-    start, idx)`` returns each one's scalar loss. Every ``accum_steps``
-    micro-batches, and once more for an epoch's remainder, the summed
-    gradients divided by that step's own micro-batch count go to
-    ``apply_step(grads, step, losses)`` (step counts from 0; ``losses`` are
-    the step's micro-batch losses). ``end_epoch(epoch, losses)`` follows
-    each epoch's last step, also when ``max_steps`` (0 = no limit) ends
-    the run mid-epoch. Returns the number of steps run.
-    """
-    steps_per_epoch(n, settings)  # rejects loop sizes that cannot run
+def _micro_batches(n, settings, rng):
+    """The micro-batches a run uses, in driver order, as ``(epoch, start,
+    idx, closes_step)``. Each epoch's order comes from ``rng.child("shuffle",
+    epoch)``; the plan ends with the micro-batch that closes step
+    ``max_steps`` (0 = no limit)."""
     step = 0
     for epoch in range(settings.epochs):
         perm = rng.child("shuffle", epoch).permutation(n)
-        losses, pending = [], None
+        count = 0
         for start in range(0, n, settings.batch_size):
-            loss = micro_loss(epoch, start, perm[start:start + settings.batch_size])
+            count += 1
+            closes = count == settings.accum_steps or start + settings.batch_size >= n
+            yield epoch, start, perm[start:start + settings.batch_size], closes
+            if closes:
+                step, count = step + 1, 0
+                if step == settings.max_steps:
+                    return
+
+
+def run_steps(params, n, settings, rng, make_batch, batch_loss, apply_step,
+              end_epoch=None):
+    """Gradient accumulation over ``settings.epochs`` shuffled epochs.
+
+    Each epoch draws its order from ``rng.child("shuffle", epoch)`` and
+    cuts it into micro-batches of ``batch_size``. ``make_batch(epoch,
+    start, idx)`` returns a micro-batch's *job*: a picklable callable,
+    such as ``functools.partial`` of a module-level function, whose result
+    ``batch_loss(epoch, start, batch)`` turns into the scalar loss. Every
+    ``accum_steps`` micro-batches, and once more for an epoch's remainder,
+    the summed gradients divided by that step's own micro-batch count go to
+    ``apply_step(grads, step, losses)`` (step counts from 0; ``losses`` are
+    the step's micro-batch losses). ``end_epoch(epoch, losses)`` follows
+    each epoch's last step, also when ``max_steps`` (0 = no limit) ends the
+    run mid-epoch.
+
+    ``make_batch`` is called once per micro-batch the run uses, in order,
+    one micro-batch ahead: the next job goes to the batch worker (see
+    :func:`_batch_worker`) before ``batch_loss`` runs on the current batch,
+    so the two overlap (the first job runs here while the worker makes the
+    second). A job runs in this process when no worker is used, when it
+    cannot be pickled, or when the worker fails; it computes the same bits
+    either way. Returns ``(steps, augment)``: the number of steps run, and
+    ``"worker"`` if the worker made every micro-batch sent to it, else
+    ``"inline"``.
+    """
+    steps_per_epoch(n, settings)  # rejects loop sizes that cannot run
+    plan = _micro_batches(n, settings, rng)
+    batches = _Batches()
+    step, losses, pending = 0, [], None
+    nxt = next(plan, None)
+    job = make_batch(*nxt[:3]) if nxt else None
+    try:
+        while nxt is not None:
+            (epoch, start, _, closes), nxt = nxt, next(plan, None)
+            upcoming = make_batch(*nxt[:3]) if nxt is not None else None
+            batch, job = batches.take(job, upcoming), upcoming
+            loss = batch_loss(epoch, start, batch)
             loss.backward()
             losses.append(float(loss.numpy()))
             grads = {k: t.grad for k, t in params.items() if t.grad is not None}
@@ -100,18 +149,175 @@ def run_steps(params, n, settings, rng, micro_loss, apply_step, end_epoch=None):
                 for k, g in grads.items():
                     pending[k] = pending[k] + g
                 count += 1
-            if count == settings.accum_steps or start + settings.batch_size >= n:
+            if closes:
                 apply_step({k: g / count for k, g in pending.items()}, step,
                            losses[-count:])
                 step += 1
                 pending = None
-                if step == settings.max_steps:
-                    break
-        if end_epoch is not None:
-            end_epoch(epoch, losses)
-        if step == settings.max_steps:
-            break
-    return step
+            if nxt is None or nxt[0] != epoch:
+                if end_epoch is not None:
+                    end_epoch(epoch, losses)
+                losses = []
+    finally:
+        batches.drain()
+    return step, batches.path()
+
+
+# ----------------------------------------------------------------------
+# batch worker: one forked process per process, making the next micro-batch
+
+# OpenBLAS reads its thread count when numpy loads; a BLAS that may run
+# more than one thread spins on the worker's core, so only a one-thread
+# BLAS gets a worker.
+_BLAS_ONE_THREAD = os.environ.get(
+    "OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
+_worker = None          # the live _Worker, once forked
+_worker_failed = False  # a worker that could not start or died: stay in-process
+
+
+def _serve(conn, parent_end):
+    """The worker's loop: run each job received and send back ``(True,
+    batch)``, or ``(False, None)`` when the job raised, so the parent runs
+    it itself and raises the error there. Exits on EOF."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides when to stop
+    while True:
+        try:
+            job = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps((True, job()), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 - the parent reruns the job
+            reply = pickle.dumps((False, None))
+        try:
+            conn.send_bytes(reply)
+        except OSError:
+            return
+
+
+class _Worker:
+    """A forked process that runs pickled jobs from a pipe, one at a time."""
+
+    def __init__(self):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child_end, self.conn),
+                                name="hvt-batch-worker", daemon=True)
+        try:
+            self.proc.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child_end.close()
+
+    def stop(self):
+        self.conn.close()
+        self.proc.kill()  # it holds nothing to save, and may be mid-send
+        self.proc.join()
+
+
+def _batch_worker():
+    """The process's batch worker, forked by the first training loop that
+    can use it and reused by later loops; None where it is not used.
+
+    It is used only where it was measured to help: at least two usable
+    CPUs and a one-thread BLAS (``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, equal to 1 when hvt is imported). It is forked
+    only while this process runs a single thread, since a fork copies no
+    other thread and whatever locks they hold. A worker that cannot start
+    or dies is not replaced. It ends when this process exits, and on EOF
+    when this process dies.
+    """
+    global _worker, _worker_failed
+    if (_worker is None and not _worker_failed and _BLAS_ONE_THREAD
+            and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        try:
+            _worker = _Worker()
+        except Exception:  # noqa: BLE001 - any start-up failure means in-process
+            _worker_failed = True
+    return _worker
+
+
+@atexit.register
+def _stop_worker(failed=False):
+    """End the worker: at exit, or after it failed, when later batches are
+    made in-process."""
+    global _worker, _worker_failed
+    w, _worker = _worker, None
+    _worker_failed = _worker_failed or failed
+    if w is not None:
+        w.stop()
+
+
+class _Batches:
+    """One loop's jobs: a job sent ahead goes to the batch worker; a job
+    that was not sent (the first, or one that cannot be pickled), or that
+    the worker did not make, runs here when its batch is taken."""
+
+    def __init__(self):
+        self.worker = _batch_worker()
+        self.in_flight = False
+        self.served = self.fallbacks = 0
+
+    def take(self, job, upcoming):
+        """``job``'s batch, with ``upcoming`` (None at the run's end) sent
+        to the worker as early as the pipe allows: before ``job`` runs
+        here, or once the worker's batch for ``job`` is received. At most
+        one job is ever in flight."""
+        if not self.in_flight:
+            self._send(upcoming)
+            return job()
+        batch = self._receive(job)
+        self._send(upcoming)
+        return batch
+
+    def _send(self, job):
+        if self.worker is None or job is None:
+            return
+        try:
+            data = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 - a job that cannot travel runs here
+            self.fallbacks += 1
+            return
+        try:
+            self.worker.conn.send_bytes(data)
+        except OSError:
+            self._lost()
+            return
+        self.in_flight = True
+
+    def _receive(self, job):
+        self.in_flight = False
+        try:
+            ok, batch = pickle.loads(self.worker.conn.recv_bytes())
+        except (EOFError, OSError):
+            self._lost()
+        else:
+            if ok:
+                self.served += 1
+                return batch
+            self.fallbacks += 1
+        return job()
+
+    def drain(self):
+        """Receive and drop a batch still in flight after an exception."""
+        if self.in_flight:
+            self.in_flight = False
+            try:
+                self.worker.conn.recv_bytes()
+            except (EOFError, OSError):
+                self._lost()
+
+    def _lost(self):
+        self.fallbacks += 1
+        self.worker = None
+        _stop_worker(failed=True)
+
+    def path(self):
+        return "worker" if self.served and not self.fallbacks else "inline"
 
 
 def adamw_step(params, grads, state, lr_t, lr_factors=None, freeze=None):

@@ -9,11 +9,14 @@ loss so temperature-scaled similarities stay bounded.
 Reproducibility: every random decision derives from the master stream via
 purpose-plus-index child keys (shuffle/(epoch), augment/(epoch, sample),
 droppath/(epoch, offset)), so results are independent of how augmentation
-work is scheduled.
+work is scheduled: a micro-batch's views are one job,
+:func:`simclr_batch`, that the step driver runs in its batch worker or in
+this process with the same bits (the tests compare both byte for byte).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,14 +139,26 @@ class PretrainResult:
     head: dict
     log: list            # rows: {step, epoch, lr, loss}
     checkpoints: list    # paths written (empty without out_dir)
+    augment: str         # "worker" or "inline": where micro-batches were made
 
 
-def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
+def simclr_batch(images, policy, rngs, out_size):
+    """One micro-batch's views, ``[a_0..a_{B-1}, b_0..b_{B-1}]``; image i's
+    pair is drawn from ``rngs[i]``. The step driver's job for pre-training."""
+    pairs = map_augment(
+        lambda i: simclr_augment(images[i], policy, rngs[i], out_size=out_size),
+        range(len(images)))
+    return np.stack([p.view_a for p in pairs] + [p.view_b for p in pairs])
+
+
+def pretrain_loop(params, head, images, config, settings, rng, out_dir=None,
+                  progress=None):
     """SimCLR pre-training over an unlabeled image array ``(N, H, W, 3)``.
 
     Mutates ``params``/``head`` in place and returns a
     :class:`PretrainResult`. Fully deterministic under ``rng``; when
     ``out_dir`` is given, writes ``pretrain_log.csv`` and checkpoints.
+    ``progress(row)``, if given, sees each log row when its step ends.
     """
     n = len(images)
     if n == 0:
@@ -158,14 +173,13 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
     per_epoch = steps_per_epoch(n, settings)
     logs, paths = [], []
 
-    def micro_loss(epoch, start, idx):
-        pairs = map_augment(
-            lambda k: simclr_augment(images[int(k)], settings.policy,
-                                     rng.child("aug", epoch, int(k)),
-                                     out_size=config.input_size),
-            list(idx))
-        views = [p.view_a for p in pairs] + [p.view_b for p in pairs]
-        res = forward(np.stack(views), params, config, mode="train",
+    def make_batch(epoch, start, idx):
+        return functools.partial(simclr_batch, images[idx], settings.policy,
+                                 [rng.child("aug", epoch, int(k)) for k in idx],
+                                 config.input_size)
+
+    def batch_loss(epoch, start, views):
+        res = forward(views, params, config, mode="train",
                       rng=rng.child("droppath", epoch, start))
         emb = project(res.features, head)
         return nt_xent_loss(emb, temperature=settings.temperature)
@@ -178,16 +192,19 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None):
         taken = step + 1
         logs.append({"step": taken, "epoch": round(taken / per_epoch, 6),
                      "lr": float(lr_t), "loss": float(np.mean(losses))})
+        if progress is not None:
+            progress(logs[-1])
         if out_dir and settings.checkpoint_every and taken % settings.checkpoint_every == 0:
             paths.append(save_checkpoint(f"{out_dir}/pretrain_step{taken:06d}.ckpt", merged,
                                          config, {"phase": "pretrain", "step": taken}))
 
-    step = run_steps(merged, n, settings, rng, micro_loss, apply_step)
+    step, augment = run_steps(merged, n, settings, rng, make_batch, batch_loss,
+                              apply_step)
     if out_dir:
         write_csv(f"{out_dir}/pretrain_log.csv", logs, ("step", "epoch", "lr", "loss"))
         paths.append(save_checkpoint(f"{out_dir}/pretrain_final.ckpt", merged,
                                      config, {"phase": "pretrain", "step": step}))
-    return PretrainResult(params, head, logs, paths)
+    return PretrainResult(params, head, logs, paths, augment)
 
 
 # ----------------------------------------------------------------------

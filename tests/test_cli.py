@@ -206,6 +206,53 @@ class TestEvalAndMcnemar:
         assert "kind=CheckpointError" in capsys.readouterr().out
 
 
+    def test_failed_report_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        preds = tmp_path / "preds.csv"
+        perfect_preds_csv(preds)
+        out = tmp_path / "m"
+        out.mkdir()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["eval", "--preds", str(preds), "--out", str(out)]) == 1
+        assert "kind=OSError" in capsys.readouterr().out
+        assert os.listdir(out) == []
+
+
+class TestLiveProgress:
+    """A step's or an epoch's line is printed when it ends, before the loop
+    writes its CSV log; the done lines say where micro-batches were made."""
+
+    def test_lines_are_printed_before_the_loop_ends(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        data, run = tmp_path / "d", tmp_path / "r"
+        assert main(["gen-data", "--seed", "3", "--out", str(data), "--config", cfg,
+                     "--n-per-class", "10", "--n-unlabeled", "8"]) == 0
+        capsys.readouterr()
+        printed, written = [], {}
+        for module, phase in ((S, "pretrain"), (F, "finetune")):
+            def spy(path, rows, fields, real=module.write_csv, phase=phase):
+                printed.append(capsys.readouterr().out)
+                written[phase] = ("".join(printed), len(rows))
+                return real(path, rows, fields)
+            monkeypatch.setattr(module, "write_csv", spy)
+        assert main(["pretrain", "--data", str(data / "unlabeled.hvtimg"),
+                     "--config", cfg, "--seed", "3", "--out", str(run)]) == 0
+        assert main(["finetune", "--train", str(data / "train.hvtimg"),
+                     "--val", str(data / "val.hvtimg"),
+                     "--config", cfg, "--seed", "3", "--out", str(run)]) == 0
+        lines = ("".join(printed) + capsys.readouterr().out).splitlines()
+        for phase, row in (("pretrain", "pretrain_step"), ("finetune", "finetune_epoch")):
+            before_log, rows = written[phase]
+            assert rows >= 1 and before_log.count(f"event={row} ") == rows
+            assert f"event={phase}_done" not in before_log
+            done = [ln for ln in lines if ln.startswith(f"event={phase}_done ")]
+            assert len(done) == 1
+            assert done[0].split()[-1] in ("augment=worker", "augment=inline")
+
+
 class TestContainerChecks:
     """eval, calibrate, rollout and finetune reject a container the model
     cannot read with InputError (exit 1) before any forward pass."""

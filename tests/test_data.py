@@ -1,6 +1,7 @@
 """Containers, synthetic data, splits, checkpoints."""
 
 import json
+import os
 import struct
 import zlib
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 from hvt import data as D
+from hvt.config import RunConfig
 from hvt.errors import (CheckpointCRCError, CheckpointError, CheckpointMagicError,
                         CheckpointManifestError, CheckpointVersionError,
                         ConfigError, ContainerFormatError, InputError)
 from hvt.model import HVTConfig, init_params, normalize_images, param_shapes
+from hvt.metrics import PredictionSet
 from hvt.ssl import linear_probe
 from hvt.tensor import RngStream
 
@@ -322,3 +325,47 @@ class TestCheckpoint:
         _, config, _ = D.load_checkpoint(path)
         with pytest.raises(CheckpointError, match="config snapshot"):
             D.config_from_snapshot(config)
+
+
+class TestAtomicWrites:
+    """Every artifact writer goes through ``atomic_open``: a write that
+    fails leaves the old file, or none, and no temporary file."""
+
+    WRITERS = {
+        "container": lambda p: D.ImageContainer(np.zeros((2, 4, 4, 3), np.float32),
+                                                np.array([0, 1], np.int32)).save(p),
+        "checkpoint": lambda p: D.save_checkpoint(p, {"w": np.ones(3, np.float32)}),
+        "csv": lambda p: D.write_csv(p, [{"a": 1.0}], ("a",)),
+        "config": lambda p: RunConfig().save(p),
+        "predictions": lambda p: PredictionSet(np.array([0, 1]), np.array([0, 1]),
+                                               np.eye(2)).save_csv(p),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            self.WRITERS[writer](path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_the_old_file(self, tmp_path, writer):
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        over.write_bytes(b"old" * 1000)
+        self.WRITERS[writer](fresh)
+        self.WRITERS[writer](over)
+        assert over.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "over"]
+
+    def test_error_mid_write_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        with pytest.raises(KeyError):
+            D.write_csv(path, [{"a": 1.0}, {}], ("a",))  # row 2 lacks "a"
+        assert os.listdir(tmp_path) == []

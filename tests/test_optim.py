@@ -1,6 +1,12 @@
-"""Optimizer, schedulers, layer-wise decay, EMA, freeze contracts."""
+"""Optimizer, schedulers, layer-wise decay, EMA, freeze contracts, and the
+step driver with its batch worker."""
 
+import functools
 import math
+import multiprocessing
+import os
+import signal
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +14,7 @@ import pytest
 
 from hvt import optim as O
 from hvt import tensor as T
-from hvt.errors import ConfigError, ContractError
+from hvt.errors import ConfigError, ContractError, InputError
 from hvt.model import HVTConfig, init_params
 from hvt.tensor import RngStream, Tensor
 
@@ -233,29 +239,60 @@ class TestEMA:
             O.EmaState.init(toy_params(), decay=1.0)
 
 
+def idx_batch(idx, fail_on=None):
+    """The driver tests' micro-batch job: its batch is its sample indices;
+    it raises ``InputError`` when it holds sample ``fail_on``."""
+    if fail_on in idx:
+        raise InputError(f"sample {fail_on} is bad")
+    return [int(k) for k in idx]
+
+
+def drive(n, batch_size, accum_steps, epochs=1, max_steps=0, fail_on=None,
+          on_step=None):
+    """Runs the driver on a one-parameter model whose micro-batch loss is
+    ``w * sum(idx)`` at w = 1, so each loss equals its gradient. Returns
+    ``(result, events, micro, calls, rng)``: ``events`` holds the steps and
+    epoch ends, ``micro`` each ``make_batch`` call, ``calls`` every callback
+    in call order."""
+    settings = SimpleNamespace(epochs=epochs, batch_size=batch_size,
+                               accum_steps=accum_steps, max_steps=max_steps)
+    w = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+    events, micro, calls = [], [], []
+
+    def make_batch(epoch, start, idx):
+        micro.append((epoch, start, list(idx)))
+        calls.append(("make", epoch, start))
+        return functools.partial(idx_batch, idx, fail_on)
+
+    def batch_loss(epoch, start, batch):
+        calls.append(("loss", epoch, start))
+        assert batch == micro[[m[:2] for m in micro].index((epoch, start))][2]
+        return T.reduce(w * Tensor(np.array([float(np.sum(batch))])), "sum")
+
+    def apply_step(grads, step, losses):
+        events.append(("step", step, float(grads["w"][0]), list(losses)))
+        calls.append(("step", step))
+        if on_step is not None:
+            on_step(step)
+
+    def end_epoch(epoch, losses):
+        events.append(("end", epoch, list(losses)))
+        calls.append(("end", epoch))
+
+    rng = RngStream(7)
+    result = O.run_steps({"w": w}, n, settings, rng, make_batch, batch_loss,
+                         apply_step, end_epoch)
+    return result, events, micro, calls, rng
+
+
 class TestRunSteps:
-    """The step driver on a one-parameter model whose micro-batch loss is
-    ``w * sum(idx)`` at w = 1: each loss equals its gradient."""
+    """The step driver, on whichever path this process's BLAS setting
+    picks; both make the same batches."""
 
     @staticmethod
     def drive(n, batch_size, accum_steps, epochs=1, max_steps=0):
-        settings = SimpleNamespace(epochs=epochs, batch_size=batch_size,
-                                   accum_steps=accum_steps, max_steps=max_steps)
-        w = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
-        events, micro = [], []
-
-        def micro_loss(epoch, start, idx):
-            micro.append((epoch, start, list(idx)))
-            return T.reduce(w * Tensor(np.array([float(np.sum(idx))])), "sum")
-
-        def apply_step(grads, step, losses):
-            events.append(("step", step, float(grads["w"][0]), list(losses)))
-
-        def end_epoch(epoch, losses):
-            events.append(("end", epoch, list(losses)))
-
-        rng = RngStream(7)
-        ran = O.run_steps({"w": w}, n, settings, rng, micro_loss, apply_step, end_epoch)
+        (ran, _), events, micro, _, rng = drive(n, batch_size, accum_steps,
+                                                epochs, max_steps)
         return ran, events, micro, rng
 
     @pytest.mark.parametrize("n,b,a", [(5, 1, 2), (10, 3, 2), (7, 7, 1), (9, 2, 3), (4, 8, 2)])
@@ -302,4 +339,135 @@ class TestRunSteps:
         with pytest.raises(ConfigError, match=key):
             O.steps_per_epoch(4, settings)
         with pytest.raises(ConfigError, match=key):
-            O.run_steps({}, 4, settings, RngStream(0), None, None)
+            O.run_steps({}, 4, settings, RngStream(0), None, None, None)
+
+    def test_each_used_micro_batch_is_made_once_in_order(self):
+        # 4 epochs of 5 micro-batches, 3 steps each; max_steps=4 ends the
+        # run after epoch 1's second micro-batch, and nothing past it is made
+        ran, _, micro, rng = self.drive(5, 1, 2, epochs=4, max_steps=4)
+        perms = [rng.child("shuffle", e).permutation(5) for e in (0, 1)]
+        assert micro == [(e, s, [int(perms[e][s])]) for e, s in
+                         [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)]]
+        assert ran == 4
+
+    @pytest.mark.parametrize("n,b,a,epochs,max_steps",
+                             [(5, 1, 2, 3, 0), (9, 2, 3, 2, 0), (5, 1, 2, 4, 4), (4, 8, 2, 2, 0)])
+    def test_next_batch_is_made_before_the_current_loss(self, n, b, a, epochs, max_steps):
+        _, _, micro, calls, _ = drive(n, b, a, epochs, max_steps)
+        makes = [c[1:] for c in calls if c[0] == "make"]
+        losses = [c[1:] for c in calls if c[0] == "loss"]
+        assert makes == losses == [m[:2] for m in micro]
+        pos = {c: i for i, c in enumerate(calls)}
+        for k, key in enumerate(losses):
+            if k + 1 < len(makes):  # made one micro-batch ahead, never two
+                assert pos[("make", *makes[k + 1])] < pos[("loss", *key)]
+            if k + 2 < len(makes):
+                assert pos[("loss", *key)] < pos[("make", *makes[k + 2])]
+
+    def test_steps_and_epoch_ends_keep_their_order(self):
+        # the lookahead reaches into the next epoch before this one ends
+        _, _, _, calls, _ = drive(4, 2, 1, epochs=2)
+        assert [c for c in calls if c[0] in ("step", "end")] == [
+            ("step", 0), ("step", 1), ("end", 0), ("step", 2), ("step", 3), ("end", 1)]
+        assert calls.index(("make", 1, 0)) < calls.index(("end", 0))
+
+    def test_inline_without_worker(self, monkeypatch):
+        O._stop_worker()
+        monkeypatch.setattr(O, "_BLAS_ONE_THREAD", False)
+        (_, augment), *_ = drive(6, 2, 1, epochs=2)
+        assert augment == "inline"
+
+
+@pytest.fixture
+def batch_worker(monkeypatch):
+    """The driver with its batch worker enabled whatever this process's BLAS
+    threads and CPUs; the worker is stopped again afterwards."""
+    O._stop_worker()
+    monkeypatch.setattr(O, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(O, "_worker_failed", False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield
+    O._stop_worker()
+
+
+def worker_pids():
+    return [p.pid for p in multiprocessing.active_children()
+            if p.name == "hvt-batch-worker"]
+
+
+class TestBatchWorker:
+    def test_worker_makes_the_same_batches_and_is_reused(self, batch_worker):
+        inline = drive(7, 2, 2, epochs=3, max_steps=5)
+        first = drive(7, 2, 2, epochs=3, max_steps=5)
+        pids = worker_pids()
+        second = drive(7, 2, 2, epochs=3, max_steps=5)
+        assert first[0] == second[0] == (5, "worker")
+        assert len(pids) == 1 and worker_pids() == pids
+        for got in (first, second):
+            assert got[1:4] == inline[1:4]
+
+    def test_error_in_a_job_reaches_the_caller_and_the_worker_survives(self, batch_worker):
+        _, _, micro, _, rng = drive(6, 2, 1, epochs=1)
+        bad = micro[1][2][0]  # in the second micro-batch: made by the worker
+        with pytest.raises(InputError, match=f"sample {bad} is bad"):
+            drive(6, 2, 1, epochs=1, fail_on=bad)
+        pids = worker_pids()
+        assert len(pids) == 1
+        assert drive(6, 2, 1, epochs=1)[0] == (3, "worker")
+        assert worker_pids() == pids
+
+    def test_error_in_the_loss_drains_the_batch_in_flight(self, batch_worker):
+        def boom(step):
+            if step == 1:
+                raise RuntimeError("loss failed")
+
+        with pytest.raises(RuntimeError, match="loss failed"):
+            drive(8, 2, 1, epochs=1, on_step=boom)
+        assert drive(8, 2, 1, epochs=1)[0] == (4, "worker")
+
+    def test_killed_worker_falls_back_in_process_with_the_same_result(self, batch_worker):
+        reference = drive(9, 2, 1, epochs=2)
+        assert reference[0] == (10, "worker")
+
+        def kill(step):
+            if step == 2:
+                for pid in worker_pids():
+                    os.kill(pid, signal.SIGKILL)
+
+        killed = drive(9, 2, 1, epochs=2, on_step=kill)
+        assert killed[0] == (10, "inline")
+        assert killed[1:4] == reference[1:4]
+        assert worker_pids() == []
+        # a worker that died is not replaced
+        assert drive(9, 2, 1, epochs=2)[0] == (10, "inline")
+        assert worker_pids() == []
+
+    def test_one_usable_cpu_means_no_worker(self, batch_worker, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert drive(6, 2, 1, epochs=2)[0] == (6, "inline")
+        assert O._worker is None and worker_pids() == []
+
+    def test_no_fork_while_another_thread_runs(self, batch_worker):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert drive(6, 2, 1, epochs=2)[0] == (6, "inline")
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert O._worker is None and worker_pids() == []
+        assert drive(6, 2, 1, epochs=2)[0] == (6, "worker")
+
+    def test_unpicklable_job_runs_in_process(self, batch_worker):
+        settings = SimpleNamespace(epochs=1, batch_size=1, accum_steps=1, max_steps=0)
+        w = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+        seen = []
+        ran, augment = O.run_steps(
+            {"w": w}, 3, settings, RngStream(0),
+            lambda epoch, start, idx: lambda: list(idx),
+            lambda epoch, start, batch: T.reduce(w * Tensor(np.array(batch, float)), "sum"),
+            lambda grads, step, losses: seen.append(losses))
+        assert ran == 3 and augment == "inline"
+        assert sorted(x for (x,) in seen) == [0.0, 1.0, 2.0]
