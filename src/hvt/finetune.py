@@ -210,7 +210,8 @@ class FinetuneResult:
     best_epoch: int
     best_val_acc: float
     ema: EmaState
-    log: list             # rows: {epoch, lr, train_loss, val_acc, val_acc_ema}
+    log: list             # rows: {epoch, lr, train_loss, val_acc, val_acc_ema,
+                          #        grad_norm_max, clipped_frac}
     checkpoints: list
     augment: str          # "worker" or "inline": where micro-batches were made
 
@@ -275,6 +276,7 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None,
     logs, paths = [], []
     best_acc, best_epoch, best_arrays = -1.0, -1, None
     lr_t = 0.0
+    norms = []  # this epoch's pre-clip gradient norms
 
     def make_batch(epoch, start, idx):
         rngs = ([rng.child("aug", epoch, int(k)) for k in idx]
@@ -294,7 +296,8 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None,
 
     def apply_step(grads, step, losses):
         nonlocal lr_t
-        grads, _ = clip_grad_norm(grads, settings.clip_norm)
+        grads, norm = clip_grad_norm(grads, settings.clip_norm)
+        norms.append(norm)
         t = min(step / per_epoch, float(total_epochs))
         lr_t = onecycle_lr(t, warmup, total_epochs, settings.lr_max, settings.lr_min)
         frozen = step < settings.freeze_epochs * per_epoch
@@ -309,7 +312,10 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None,
             val_acc_ema = _accuracy(params, config, val.images, val.labels)
         logs.append({"epoch": epoch + 1, "lr": float(lr_t),
                      "train_loss": float(np.mean(losses)),
-                     "val_acc": val_acc, "val_acc_ema": val_acc_ema})
+                     "val_acc": val_acc, "val_acc_ema": val_acc_ema,
+                     "grad_norm_max": max(norms),
+                     "clipped_frac": sum(n > settings.clip_norm for n in norms) / len(norms)})
+        norms.clear()
         if progress is not None:
             progress(logs[-1])
         if val_acc > best_acc:

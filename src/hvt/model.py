@@ -365,10 +365,10 @@ def patch_merge(x, w, grid):
         raise ShapeError(f"{n} tokens do not tile a {gh}x{gw} grid")
     if gh % 2 or gw % 2:
         raise ShapeError(f"grid {gh}x{gw} must be even for 2x2 merging")
-    g = T.reshape(x, (b, gh, gw, d))
-    quads = [g[:, 0::2, 0::2, :], g[:, 0::2, 1::2, :],
-             g[:, 1::2, 0::2, :], g[:, 1::2, 1::2, :]]
-    merged = T.reshape(T.concat(quads, axis=-1), (b, n // 4, 4 * d))
+    # (row pair, row parity, col pair, col parity): bringing both parities
+    # next to the channels lays each 2x2 neighborhood out in merge order
+    g = T.reshape(x, (b, gh // 2, 2, gw // 2, 2, d))
+    merged = T.reshape(T.permute(g, (0, 1, 3, 2, 4, 5)), (b, n // 4, 4 * d))
     out = T.matmul(merged, w)
     return out[0] if single else out
 

@@ -118,6 +118,11 @@ def run_steps(params, n, settings, rng, make_batch, batch_loss, apply_step,
     each epoch's last step, also when ``max_steps`` (0 = no limit) ends the
     run mid-epoch.
 
+    Only one micro-batch's graph is alive at a time: the driver drops its
+    loss and batch once it has the loss value and the leaf gradients, and
+    takes each gradient off its parameter (``grad`` is None afterwards), so
+    a parameter the loss does not reach contributes no gradient.
+
     ``make_batch`` is called once per micro-batch the run uses, in order,
     one micro-batch ahead: the next job goes to the batch worker (see
     :func:`_batch_worker`) before ``batch_loss`` runs on the current batch,
@@ -132,6 +137,8 @@ def run_steps(params, n, settings, rng, make_batch, batch_loss, apply_step,
     plan = _micro_batches(n, settings, rng)
     batches = _Batches()
     step, losses, pending = 0, [], None
+    for t in params.values():
+        t.grad = None  # left by a backward outside this run
     nxt = next(plan, None)
     job = make_batch(*nxt[:3]) if nxt else None
     try:
@@ -142,7 +149,13 @@ def run_steps(params, n, settings, rng, make_batch, batch_loss, apply_step,
             loss = batch_loss(epoch, start, batch)
             loss.backward()
             losses.append(float(loss.numpy()))
-            grads = {k: t.grad for k, t in params.items() if t.grad is not None}
+            del loss, batch  # free this graph before the next forward builds one
+            # take each gradient off its leaf, so none outlives this
+            # micro-batch or counts again where a later loss misses its leaf
+            grads = {}
+            for k, t in params.items():
+                if t.grad is not None:
+                    grads[k], t.grad = t.grad, None
             if pending is None:
                 pending, count = dict(grads), 1
             else:

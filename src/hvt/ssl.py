@@ -137,7 +137,7 @@ class PretrainSettings:
 class PretrainResult:
     params: dict
     head: dict
-    log: list            # rows: {step, epoch, lr, loss}
+    log: list            # rows: {step, epoch, lr, loss, grad_norm, clipped}
     checkpoints: list    # paths written (empty without out_dir)
     augment: str         # "worker" or "inline": where micro-batches were made
 
@@ -185,13 +185,14 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None,
         return nt_xent_loss(emb, temperature=settings.temperature)
 
     def apply_step(grads, step, losses):
-        grads, _ = clip_grad_norm(grads, settings.clip_norm)
+        grads, norm = clip_grad_norm(grads, settings.clip_norm)
         lr_t = warmup_cosine_lr(min(step / per_epoch, settings.epochs),
                                 settings.warmup_epochs, settings.epochs, settings.lr)
         adamw_step(merged, grads, opt, lr_t)
         taken = step + 1
         logs.append({"step": taken, "epoch": round(taken / per_epoch, 6),
-                     "lr": float(lr_t), "loss": float(np.mean(losses))})
+                     "lr": float(lr_t), "loss": float(np.mean(losses)),
+                     "grad_norm": norm, "clipped": int(norm > settings.clip_norm)})
         if progress is not None:
             progress(logs[-1])
         if out_dir and settings.checkpoint_every and taken % settings.checkpoint_every == 0:

@@ -2,12 +2,16 @@
 
 A ``Tensor`` wraps a row-major numpy float array (float32 by default,
 float64 for tight gradient checks) and records enough graph structure for
-``backward`` to populate ``grad`` on every reachable tensor that has
-``requires_grad`` set.
+``backward`` to populate ``grad`` on the leaves only: the reachable
+tensors that have ``requires_grad`` set and were made by no op (parameters
+and other inputs). An intermediate gradient is dropped once it has flowed
+to its parents.
 
 Semantics pinned here and relied on by the rest of the package:
 
 * ``backward`` overwrites gradients; it never accumulates across calls.
+* A node's backward keeps only the arrays it reads, and never writes to
+  the gradient it receives or to an array of the forward pass.
 * Binary elementwise ops allow exactly three shape relations: identical
   shapes, a scalar operand, or a trailing-axes ("bias-style") match where
   the smaller shape equals a suffix of the larger. Anything richer must go
@@ -155,10 +159,13 @@ class Tensor:
     # backward
 
     def backward(self):
-        """Populate ``grad`` on every reachable requires_grad tensor.
+        """Populate ``grad`` on the leaves only: every reachable
+        requires_grad tensor that no op made.
 
         The receiver must be a scalar. Existing gradients are overwritten,
-        not accumulated; call sites never need an explicit reset.
+        not accumulated; call sites never need an explicit reset. An
+        intermediate node's gradient is dropped once it has flowed to its
+        parents, so its ``grad`` stays None.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -168,9 +175,9 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g
             if node._backward is None:
+                if node.requires_grad:
+                    node.grad = g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -290,16 +297,18 @@ def elementwise(a, b, kind):
     elif kind == "mul":
         data = a.data * b.data
 
+        # a constant operand (a drop-path gate, a mask) gets no gradient
         def bwd(g):
-            return (_unbroadcast(g * b.data, a.shape),
-                    _unbroadcast(g * a.data, b.shape))
+            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     elif kind == "div":
         data = a.data / b.data
 
         def bwd(g):
-            return (_unbroadcast(g / b.data, a.shape),
-                    _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                    if b.requires_grad else None)
 
     else:
         raise ContractError(f"unknown elementwise kind {kind!r}")
@@ -352,17 +361,42 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a):
-    """tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    Forward and backward run the same operations in the same order as the
+    plain expression (products commuted only where that is exact), in
+    place on a few buffers instead of one temporary per step; the node
+    keeps ``x`` and the tanh.
+    """
     x = a.data
     # x * x * x, not x ** 3: numpy sends negative bases of ** to a slow pow
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    buf = np.multiply(x, x)
+    buf *= x
+    buf *= 0.044715
+    buf += x
+    buf *= _GELU_C
+    t = np.tanh(buf)
+    np.add(t, 1.0, out=buf)
+    data = np.multiply(x, 0.5)
+    data *= buf
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-        return (g * dgelu,)
+        # 0.5 * x * (1 - t^2) * dinner + 0.5 * (1 + t), times g, with
+        # dinner = C * (1 + 3 * 0.044715 * x^2)
+        out = np.multiply(x, 0.5)
+        buf = np.multiply(t, t)
+        np.subtract(1.0, buf, out=buf)
+        out *= buf
+        np.multiply(x, x, out=buf)
+        buf *= 3 * 0.044715
+        buf += 1.0
+        buf *= _GELU_C
+        out *= buf
+        np.add(t, 1.0, out=buf)
+        buf *= 0.5
+        out += buf
+        out *= g
+        return (out,)
 
     return _make(data, (a,), bwd)
 
@@ -413,22 +447,54 @@ def matmul(a, b, bias=None):
 def softmax(a, axis=-1):
     """Max-stabilized softmax along ``axis``; slices sum to 1."""
     _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    x = a.data
+    peak = _row_max(x) if axis in (-1, x.ndim - 1) else x.max(axis=axis, keepdims=True)
+    data = np.subtract(x, peak)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return ((g - dot) * data,)
+        out = np.multiply(g, data)
+        dot = out.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=out)
+        out *= data
+        return (out,)
 
     return _make(data, (a,), bwd)
+
+
+_ROW_MAX_SHORT = 16  # rows up to this long reduce in one transposed copy
+
+
+def _row_max(x):
+    """``x.max(axis=-1, keepdims=True)`` without numpy's per-row reduce loop,
+    which is slow on short rows: halve rows longer than ``_ROW_MAX_SHORT``
+    with elementwise maxima, then take the max over the first axis of a
+    transposed copy. Max is exact and NaN propagates, so every value is
+    the same; only a zero maximum may carry the other sign than numpy's,
+    whose tie order follows its SIMD lanes (and ``x - m`` then differs
+    only at ``x = ±0``, where ``exp`` gives 1 either way)."""
+    m = x
+    while m.shape[-1] > _ROW_MAX_SHORT:
+        n = m.shape[-1]
+        h = n // 2
+        top = np.maximum(m[..., :h], m[..., h:2 * h])
+        if n % 2:
+            top[..., :1] = np.maximum(top[..., :1], m[..., 2 * h:])
+        m = top
+    n = m.shape[-1]
+    if n == 1:
+        return m
+    rows = np.ascontiguousarray(m.reshape(-1, n).T)
+    return rows.max(axis=0).reshape(m.shape[:-1] + (1,))
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Standardize the last axis to zero mean / unit variance, then affine.
 
     ``gain`` and ``bias`` must have shape (D,) where D is the last extent.
-    One node with a closed-form backward.
+    One node with a closed-form backward; both run the plain expressions'
+    operations in the same order, in place on a few buffers.
     """
     gain, bias = as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
@@ -436,20 +502,28 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
     _check_dtypes(x, gain)
     _check_dtypes(x, bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))  # centered
+    data = np.multiply(xhat, xhat)
+    var = data.mean(axis=-1, keepdims=True)
     inv = (var + var.dtype.type(eps)) ** -0.5
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        gx = None
+        gx = ggain = None
+        if gain.requires_grad:
+            ggain = np.multiply(g, xhat).sum(axis=lead)
         if x.requires_grad:
-            gxhat = g * gain.data
-            gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        ggain = (g * xhat).sum(axis=lead) if gain.requires_grad else None
+            # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
+            gx = np.multiply(g, gain.data)  # gxhat
+            buf = np.multiply(gx, xhat)
+            m2 = buf.mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m2, out=buf)
+            gx -= buf
+            gx *= inv
         gbias = g.sum(axis=lead) if bias.requires_grad else None
         return gx, ggain, gbias
 

@@ -247,6 +247,11 @@ class TestLiveProgress:
         for phase, row in (("pretrain", "pretrain_step"), ("finetune", "finetune_epoch")):
             before_log, rows = written[phase]
             assert rows >= 1 and before_log.count(f"event={row} ") == rows
+            keys = ("grad_norm=", "clipped=") if phase == "pretrain" else (
+                "grad_norm_max=", "clipped_frac=")
+            for line in before_log.splitlines():
+                if line.startswith(f"event={row} "):
+                    assert all(f" {key}" in line for key in keys), line
             assert f"event={phase}_done" not in before_log
             done = [ln for ln in lines if ln.startswith(f"event={phase}_done ")]
             assert len(done) == 1

@@ -221,6 +221,32 @@ class TestFinetuneLoop:
         header = (tmp_path / "finetune_log.csv").read_text().splitlines()[0]
         assert header == "epoch,lr,train_loss,val_acc,val_acc_ema"
 
+    @pytest.mark.parametrize("clip_norm,fraction", [(1e-9, 1.0), (1e9, 0.0)])
+    def test_epoch_rows_report_largest_pre_clip_norm_and_clipped_fraction(
+            self, monkeypatch, tmp_path, clip_norm, fraction):
+        norms, real = [], F.clip_grad_norm
+
+        def clip(grads, max_norm):
+            out = real(grads, max_norm)
+            norms.append(out[1])
+            return out
+
+        monkeypatch.setattr(F, "clip_grad_norm", clip)
+        train, val, _ = _desk_data(3)
+        cfg = HVTConfig.tiny(drop_path_max=0.0)
+        params = init_params(cfg, RngStream(6))
+        res = F.finetune_loop(params, train, val, cfg,
+                              _fast_settings(batch_size=2, clip_norm=clip_norm),
+                              RngStream(7), out_dir=str(tmp_path))
+        per_epoch = len(norms) // 2
+        assert per_epoch >= 2 and len(norms) == 2 * per_epoch
+        for row, chunk in zip(res.log, (norms[:per_epoch], norms[per_epoch:])):
+            assert row["grad_norm_max"] == max(chunk)
+            assert row["clipped_frac"] == fraction
+        lines = (tmp_path / "finetune_log.csv").read_text().splitlines()
+        assert lines[0] == "epoch,lr,train_loss,val_acc,val_acc_ema"
+        assert all(line.count(",") == 4 for line in lines)
+
     def test_reports_both_raw_and_ema_accuracy(self):
         train, val, _ = _desk_data(4)
         cfg = HVTConfig.tiny(drop_path_max=0.0)

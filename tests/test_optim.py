@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -371,6 +372,21 @@ class TestRunSteps:
             ("step", 0), ("step", 1), ("end", 0), ("step", 2), ("step", 3), ("end", 1)]
         assert calls.index(("make", 1, 0)) < calls.index(("end", 0))
 
+    def test_a_parameter_the_loss_misses_passes_no_gradient(self):
+        """A gradient left on a leaf by an earlier backward (another loop
+        over the same parameters) must not reach this run's steps."""
+        settings = SimpleNamespace(epochs=1, batch_size=2, accum_steps=1, max_steps=0)
+        w = Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)
+        unused = Tensor(np.array([5.0]), requires_grad=True, dtype=np.float64)
+        unused.grad = np.array([3.0])
+        seen = []
+        O.run_steps({"w": w, "unused": unused}, 4, settings, RngStream(0),
+                    lambda epoch, start, idx: functools.partial(idx_batch, idx),
+                    lambda epoch, start, batch: T.reduce(w * Tensor(np.array([1.0])), "sum"),
+                    lambda grads, step, losses: seen.append(sorted(grads)))
+        assert seen == [["w"], ["w"]]
+        assert w.grad is None and unused.grad is None
+
     def test_inline_without_worker(self, monkeypatch):
         O._stop_worker()
         monkeypatch.setattr(O, "_BLAS_ONE_THREAD", False)
@@ -471,3 +487,76 @@ class TestBatchWorker:
             lambda grads, step, losses: seen.append(losses))
         assert ran == 3 and augment == "inline"
         assert sorted(x for (x,) in seen) == [0.0, 1.0, 2.0]
+
+
+class TestGraphLifetime:
+    """A training step holds one graph: micro-batch k's loss and its
+    forward activations (its first-stage tokens stand for them) are freed
+    before the forward pass of micro-batch k+1 starts, on the in-process
+    path and the worker path.
+    The check uses plain reference counting (no ``gc.collect``), so a
+    reference cycle through the graph would fail it too."""
+
+    @staticmethod
+    def watch(monkeypatch, module, loss_name):
+        """Wraps the loop's ``forward`` and loss bindings: each forward call
+        asserts that no earlier training graph is alive, then registers
+        weak references to its first-stage activation and to the loss."""
+        alive, seen = [], []
+        real_forward, real_loss = module.forward, getattr(module, loss_name)
+
+        def forward(*args, **kwargs):
+            assert [r for r in alive if r() is not None] == []
+            res = real_forward(*args, **kwargs)
+            if kwargs.get("mode") == "train":
+                alive.append(weakref.ref(res.stages[0].data))
+            return res
+
+        def loss(*args, **kwargs):
+            out = real_loss(*args, **kwargs)
+            alive.append(weakref.ref(out.data))
+            seen.append(1)
+            return out
+
+        monkeypatch.setattr(module, "forward", forward)
+        monkeypatch.setattr(module, loss_name, loss)
+        return seen
+
+    @staticmethod
+    def images(n):
+        return np.random.default_rng(3).random((n, 64, 64, 3), dtype=np.float32)
+
+    def pretrain(self, monkeypatch):
+        from hvt import ssl as S
+        seen = self.watch(monkeypatch, S, "nt_xent_loss")
+        cfg = HVTConfig.tiny()
+        rng = RngStream(0)
+        params, head = init_params(cfg, rng), S.init_projection_head(64, rng, out_dim=8)
+        settings = S.PretrainSettings(epochs=1, batch_size=4, accum_steps=2,
+                                      warmup_epochs=0.5)
+        res = S.pretrain_loop(params, head, self.images(16), cfg, settings, RngStream(1))
+        assert len(seen) == 4 and len(res.log) == 2
+        return res.augment
+
+    def finetune(self, monkeypatch):
+        from hvt import finetune as F
+        from hvt.data import ImageContainer
+        seen = self.watch(monkeypatch, F, "combined_loss")
+        cfg = HVTConfig.tiny()
+        train = ImageContainer(self.images(12), np.arange(12, dtype=np.int32) % 7)
+        settings = F.FinetuneSettings(epochs=2, batch_size=4, accum_steps=1,
+                                      freeze_epochs=1)
+        res = F.finetune_loop(init_params(cfg, RngStream(0)), train, train, cfg, settings,
+                              RngStream(1))
+        assert len(seen) == 6 and len(res.log) == 2
+        return res.augment
+
+    @pytest.mark.parametrize("loop", ["pretrain", "finetune"])
+    def test_in_process(self, loop, monkeypatch):
+        O._stop_worker()
+        monkeypatch.setattr(O, "_BLAS_ONE_THREAD", False)
+        assert getattr(self, loop)(monkeypatch) == "inline"
+
+    @pytest.mark.parametrize("loop", ["pretrain", "finetune"])
+    def test_with_the_batch_worker(self, loop, batch_worker, monkeypatch):
+        assert getattr(self, loop)(monkeypatch) == "worker"

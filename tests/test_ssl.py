@@ -244,6 +244,30 @@ class TestPretrainLoop:
         header = (tmp_path / "pretrain_log.csv").read_text().splitlines()[0]
         assert header == "step,epoch,lr,loss"
 
+    def test_rows_report_the_pre_clip_gradient_norm(self, monkeypatch, tmp_path):
+        norms, real = [], S.clip_grad_norm
+
+        def clip(grads, max_norm):
+            out = real(grads, max_norm)
+            norms.append(out[1])
+            return out
+
+        monkeypatch.setattr(S, "clip_grad_norm", clip)
+        cfg, params, head, images = _tiny_setup(seed=6)
+        settings = S.PretrainSettings(epochs=1, batch_size=4, accum_steps=1,
+                                      warmup_epochs=0.25, max_steps=3, clip_norm=0.05)
+        seen = []
+        res = S.pretrain_loop(params, head, images, cfg, settings, RngStream(8),
+                              out_dir=str(tmp_path), progress=seen.append)
+        assert [row["grad_norm"] for row in res.log] == norms and len(norms) == 3
+        assert [row["clipped"] for row in res.log] == [int(n > 0.05) for n in norms]
+        assert 1 in [row["clipped"] for row in res.log]
+        assert seen == res.log
+        # the byte-compared CSV keeps its four columns
+        lines = (tmp_path / "pretrain_log.csv").read_text().splitlines()
+        assert lines[0] == "step,epoch,lr,loss"
+        assert all(line.count(",") == 3 for line in lines)
+
 
 class TestLinearProbe:
     def test_separable_features(self):
