@@ -26,7 +26,7 @@ from .data import load_checkpoint  # noqa: F401 (a binding perfbench/tracer.py w
 from .errors import ConfigError, InputError
 from .finetune import finetune_loop, predict_logits, predict_proba, tta_predict
 from .metrics import (PredictionSet, apply_temperature, classification_metrics,
-                      ece, fit_temperature, nll, reliability_bins,
+                      ece, fit_temperature, mcnemar_test, nll, reliability_bins,
                       temperature_at_bound)
 from .model import attention_rollout, forward, init_params
 from .model import normalize_images  # noqa: F401 (a binding perfbench/tracer.py wraps)
@@ -261,7 +261,6 @@ def cmd_rollout(args):
 
 
 def cmd_mcnemar(args):
-    from .metrics import mcnemar_test
     _run_config(args)
     out = _outdir(args)
     a = PredictionSet.load_csv(args.preds_a)

@@ -159,6 +159,8 @@ def generate_synthetic(n_per_class, classes=7, size=(64, 64), seed=0,
     """
     if n_per_class < 1 or classes < 2:
         raise InputError("need n_per_class >= 1 and classes >= 2")
+    if n_unlabeled < 0:
+        raise InputError(f"n_unlabeled {n_unlabeled} must not be negative")
     stream = RngStream(seed)
     images, labels = [], []
     for cls in range(classes):

@@ -219,6 +219,8 @@ class FinetuneResult:
 def predict_logits(images, params, config, batch=64):
     """Logits for an array of images with pixels in [0, 1], ``batch`` images
     per forward, no graph."""
+    if batch < 1:
+        raise ConfigError(f"eval batch_size {batch} must be at least 1")
     with T.no_grad():
         out = [forward(images[start:start + batch], params, config).logits.numpy()
                for start in range(0, len(images), batch)]

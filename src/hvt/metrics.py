@@ -6,6 +6,8 @@ calibration conventions: confidence is the top-1 probability, ECE uses
 equal-width bins (15 by default) and is reported as a fraction in [0, 1],
 and temperature minimizes validation NLL (never ECE directly), solved
 exactly in 1/T; :func:`temperature_at_bound` flags a T with no minimum.
+McNemar's chi-square tail with one degree of freedom is erfc(sqrt(s/2)),
+from the standard library's ``math.erfc``, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import atomic_open
 from .errors import ConfigError, InputError
@@ -143,7 +144,8 @@ def classification_metrics(preds):
 def mcnemar_test(correct_a, correct_b):
     """Paired test on discordant counts b (A right, B wrong) and c.
 
-    b + c >= 25 uses the continuity-corrected chi-square with 1 dof;
+    b + c >= 25 uses the continuity-corrected chi-square with 1 dof, whose
+    upper tail at s is erfc(sqrt(s / 2));
     otherwise the exact two-sided binomial on min(b, c) with p = 1/2.
     b + c = 0 returns (0, 1) by convention.
     """
@@ -157,8 +159,7 @@ def mcnemar_test(correct_a, correct_b):
         return 0.0, 1.0
     if b + c >= 25:
         stat = (abs(b - c) - 1.0) ** 2 / (b + c)
-        p = float(stats.chi2.sf(stat, df=1))
-        return float(stat), p
+        return float(stat), math.erfc(math.sqrt(stat / 2.0))
     k = min(b, c)
     n = b + c
     # exact two-sided binomial tail, doubled and capped
@@ -190,6 +191,8 @@ class ReliabilityBins:
 
 
 def reliability_bins(preds, bins=ECE_BINS):
+    if bins < 1:
+        raise ConfigError(f"ece_bins {bins} must be at least 1")
     conf = preds.probs.max(axis=1)
     correct = (preds.y_true == preds.y_pred).astype(np.float64)
     idx = np.clip((conf * bins).astype(int), 0, bins - 1)

@@ -72,6 +72,9 @@ class HVTConfig:
         s = len(self.depths)
         if not (len(self.dims) == len(self.heads) == s) or s < 1:
             raise ConfigError("depths, dims and heads must have equal nonzero length")
+        for name in ("input_size", "patch_size", "ffn_ratio", "depths", "dims", "heads"):
+            if np.min(getattr(self, name)) < 1:  # every entry, before any division
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if h % self.patch_size or w % self.patch_size:
             raise ConfigError(f"input {self.input_size} not divisible by patch size {self.patch_size}")
         gh, gw = h // self.patch_size, w // self.patch_size
@@ -85,8 +88,7 @@ class HVTConfig:
         if not self.allow_custom_dims:
             for a, b in zip(self.dims, self.dims[1:]):
                 if b != 2 * a:
-                    raise ConfigError(f"dims must double per stage ({a} -> {b}); "
-                                      "set allow_custom_dims to override")
+                    raise ConfigError(f"dims must double per stage, got {a} -> {b}")
         if not 0.0 <= self.drop_path_max < 1.0:
             raise ConfigError("drop_path_max must lie in [0, 1)")
         if self.num_classes < 2:

@@ -38,6 +38,19 @@ def write_cfg(tmp_path, extra="", model_extra=""):
     return str(path)
 
 
+def override_cfg(tmp_path, section, key, value):
+    """``write_cfg`` with ``[section] key`` set to ``value``."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(write_cfg(tmp_path))
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, str(value))
+    cfg = tmp_path / "bad.cfg"
+    with open(cfg, "w") as f:
+        cp.write(f)
+    return str(cfg)
+
+
 def perfect_preds_csv(path, n=40, classes=7):
     rng = np.random.default_rng(0)
     y = rng.integers(0, classes, size=n)
@@ -122,6 +135,14 @@ class TestGenData:
             b1 = (d1 / f"{name}.hvtimg").read_bytes()
             b2 = (d2 / f"{name}.hvtimg").read_bytes()
             assert b1 == b2
+
+    def test_negative_unlabeled_count_exits_1(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "d"), "--config", write_cfg(tmp_path),
+                   "--n-per-class", "3", "--n-unlabeled=-5"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "event=error kind=InputError" in out and "n_unlabeled" in out
+        assert not (tmp_path / "d" / "unlabeled.hvtimg").exists()
 
     def test_split_counts(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -376,15 +397,10 @@ class TestLoopSizes:
     @pytest.mark.parametrize("key,value", [("epochs", 0), ("batch_size", 0),
                                            ("accum_steps", 0), ("max_steps", -1)])
     def test_bad_loop_size_exits_1(self, tmp_path, capsys, command, key, value):
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read(write_cfg(tmp_path))
-        cp.set(command, key, str(value))
-        cfg = tmp_path / "bad.cfg"
-        with open(cfg, "w") as f:
-            cp.write(f)
+        cfg = override_cfg(tmp_path, command, key, value)
         data = TestContainerChecks._container(tmp_path, 8, 64)
         args = ["--data", data] if command == "pretrain" else ["--train", data, "--val", data]
-        rc = main([command, *args, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = main([command, *args, "--config", cfg, "--out", str(tmp_path / "o")])
         out = capsys.readouterr().out
         assert rc == 1
         assert "kind=ConfigError" in out and key in out
@@ -634,30 +650,70 @@ class TestConfigFile:
         assert main(["gen-data", "--out", str(tmp_path / "o"),
                      "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "eval",
-                                         "calibrate", "rollout", "mcnemar"])
+    COMMANDS = ["gen-data", "pretrain", "finetune", "eval", "calibrate", "rollout",
+                "mcnemar"]
+
+    @staticmethod
+    def _args(tmp_path, command):
+        """Inputs for ``command`` that would run under a good config; the
+        checkpoint is made with one."""
+        data = TestContainerChecks._container(tmp_path, 8, 64)
+        (tmp_path / "good").mkdir()
+        ckpt = str(fresh_checkpoint(tmp_path / "good", write_cfg(tmp_path / "good")))
+        preds = str(tmp_path / "p.csv")
+        perfect_preds_csv(preds)
+        return {"gen-data": [], "pretrain": ["--data", data],
+                "finetune": ["--train", data, "--val", data],
+                "eval": ["--checkpoint", ckpt, "--data", data],
+                "calibrate": ["--checkpoint", ckpt, "--val", data],
+                "rollout": ["--checkpoint", ckpt, "--data", data],
+                "mcnemar": ["--preds-a", preds, "--preds-b", preds]}[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("stat", ["norm_mean = 0.5,0.5", "norm_std = 0,0,0",
                                       "norm_mean = 0.5,nan,0.5"],
                              ids=["two-values", "zero-std", "nan"])
     def test_bad_norm_stats_exit_1(self, tmp_path, capsys, command, stat):
         # also where the model comes from a checkpoint or is not used
         cfg = write_cfg(tmp_path, model_extra=stat + "\n")
-        data = TestContainerChecks._container(tmp_path, 8, 64)
-        (tmp_path / "good").mkdir()
-        ckpt = str(fresh_checkpoint(tmp_path / "good", write_cfg(tmp_path / "good")))
-        preds = str(tmp_path / "p.csv")
-        perfect_preds_csv(preds)
-        args = {"gen-data": [], "pretrain": ["--data", data],
-                "finetune": ["--train", data, "--val", data],
-                "eval": ["--checkpoint", ckpt, "--data", data],
-                "calibrate": ["--checkpoint", ckpt, "--val", data],
-                "rollout": ["--checkpoint", ckpt, "--data", data],
-                "mcnemar": ["--preds-a", preds, "--preds-b", preds]}[command]
+        args = self._args(tmp_path, command)
         rc = main([command, *args, "--config", cfg, "--out", str(tmp_path / "o")])
         out = capsys.readouterr().out
         assert rc == 1
         assert "kind=ConfigError" in out and stat.split()[0] in out
         assert f"event={command}_start" not in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key,value", [
+        ("input_size", 0), ("patch_size", 0), ("patch_size", -8), ("ffn_ratio", 0),
+        ("depths", "1,0,1,1"), ("heads", "0,2,4,8")])
+    def test_model_size_below_1_exits_1(self, tmp_path, capsys, command, key, value):
+        # rejected before any division by a size, by every command
+        cfg = override_cfg(tmp_path, "model", key, value)
+        rc = main([command, *self._args(tmp_path, command), "--config", cfg,
+                   "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "event=error kind=ConfigError" in out and key in out
+        assert not (tmp_path / "o").exists() or not os.listdir(tmp_path / "o")
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("eval", "batch_size", 0), ("eval", "batch_size", -1),
+        ("eval", "ece_bins", 0), ("eval", "ece_bins", -3),
+        ("calibrate", "ece_bins", 0), ("calibrate", "ece_bins", -3)])
+    def test_eval_size_below_1_exits_1(self, tmp_path, capsys, command, key, value):
+        cfg = override_cfg(tmp_path, "eval", key, value)
+        rc = main([command, *self._args(tmp_path, command), "--config", cfg,
+                   "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "event=error kind=ConfigError" in out and key in out
+
+    def test_defaults_agree_with_the_dataclasses(self):
+        # config.DEFAULTS and the dataclass field defaults are two copies
+        assert RunConfig().model_config() == M.HVTConfig()
+        assert RunConfig().pretrain_settings() == S.PretrainSettings()
+        assert RunConfig().finetune_settings() == F.FinetuneSettings()
 
     def test_defaults_roundtrip(self, tmp_path):
         from hvt.config import RunConfig

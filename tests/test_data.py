@@ -90,6 +90,10 @@ class TestSyntheticData:
         assert np.all(unlabeled.labels == -1)
         assert labeled.images.min() >= 0.0 and labeled.images.max() <= 1.0
 
+    def test_negative_unlabeled_count_rejected(self):
+        with pytest.raises(InputError, match="n_unlabeled"):
+            D.generate_synthetic(2, size=(32, 32), n_unlabeled=-5)
+
     def test_linear_probe_on_raw_pixels_beats_chance(self):
         labeled, _ = D.generate_synthetic(12, size=(32, 32), seed=3)
         train, _, test = D.stratified_split(labeled, (0.70, 0.15, 0.15), seed=0)

@@ -8,7 +8,7 @@ import pytest
 from hvt import finetune as F
 from hvt import tensor as T
 from hvt.data import generate_synthetic, stratified_split
-from hvt.errors import InputError
+from hvt.errors import ConfigError, InputError
 from hvt.model import HVTConfig, init_params
 from hvt.tensor import RngStream, Tensor
 from helpers import check_grads
@@ -278,6 +278,17 @@ class TestFinetuneLoop:
                                  np.zeros(0, np.int32))
         with pytest.raises(InputError):
             F.finetune_loop(params, empty, val, cfg, _fast_settings(), RngStream(0))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_1_rejected(self, batch):
+        cfg = HVTConfig.tiny(drop_path_max=0.0)
+        params = init_params(cfg, RngStream(0))
+        images = np.zeros((2, 64, 64, 3), np.float32)
+        for predict in (F.predict_logits, F.predict_proba):
+            with pytest.raises(ConfigError, match="batch_size"):
+                predict(images, params, cfg, batch=batch)
 
 
 class TestTTA:

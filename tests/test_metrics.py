@@ -2,9 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hvt import metrics as M
 from hvt.errors import ConfigError, InputError
@@ -108,6 +110,30 @@ class TestMcNemar:
         with pytest.raises(InputError):
             M.mcnemar_test(np.ones(3, bool), np.ones(4, bool))
 
+    @staticmethod
+    def _discordant(b, c):
+        """Paired outcomes with b items only A gets right and c only B does."""
+        a = np.arange(b + c) < b
+        return a, ~a
+
+    def test_chi_square_branch_matches_scipy(self):
+        pairs = [(b, n - b) for n in range(25, 401) for b in range(n + 1)]
+        got = np.array([M.mcnemar_test(*self._discordant(b, c)) for b, c in pairs])
+        b, c = np.array(pairs).T
+        assert np.array_equal(got[:, 0], (np.abs(b - c) - 1.0) ** 2 / (b + c))
+        np.testing.assert_allclose(got[:, 1], stats.chi2.sf(got[:, 0], df=1),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_exact_branch_is_the_doubled_binomial_tail(self):
+        # every value below b + c = 25 is a dyadic rational, so float() of
+        # the exact fraction is the value bit for bit
+        for n in range(1, 25):
+            for b in range(n + 1):
+                k = min(b, n - b)
+                want = min(Fraction(1), Fraction(2 * sum(math.comb(n, i) for i in range(k + 1)),
+                                                 2 ** n))
+                assert M.mcnemar_test(*self._discordant(b, n - b)) == (float(k), float(want))
+
 
 class TestECE:
     def test_confident_and_correct_is_zero(self):
@@ -142,6 +168,13 @@ class TestECE:
         perm = rng.permutation(500)
         shuffled = PredictionSet(y[perm], p.y_pred[perm], probs[perm])
         assert M.ece(shuffled) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_1_rejected(self, bins):
+        p = preds_from_pairs([0, 1, 1], [0, 1, 0], 2)
+        for fn in (M.reliability_bins, M.ece):
+            with pytest.raises(ConfigError, match="ece_bins"):
+                fn(p, bins=bins)
 
     def test_bin_counts_sum_to_n(self):
         rng = np.random.default_rng(3)

@@ -37,6 +37,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             HVTConfig.tiny(drop_path_max=1.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"input_size": (0, 0)}, {"patch_size": 0}, {"patch_size": -8}, {"ffn_ratio": 0},
+        {"depths": (1, 0, 1, 1)}, {"dims": (8, 16, 32, -64), "allow_custom_dims": True},
+        {"heads": (0, 2, 4, 8)},
+        {"heads": (1, 2, 4, -8)}],
+        ids=["input_size", "patch_size", "negative-patch_size", "ffn_ratio", "depths",
+             "dims", "heads", "negative-heads"])
+    def test_size_below_1_rejected(self, kw):
+        # before any division by it
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            HVTConfig.tiny(**kw)
+
+    def test_dims_message_names_no_config_key(self):
+        with pytest.raises(ConfigError, match="dims must double per stage") as err:
+            HVTConfig.tiny(dims=(8, 24, 48, 96))
+        assert "allow_custom_dims" not in str(err.value)
+
     def test_norm_stats_default_and_coerced(self):
         assert HVTConfig.tiny().norm_mean == (0.5, 0.5, 0.5)
         assert HVTConfig.tiny().norm_std == (0.25, 0.25, 0.25)
