@@ -367,7 +367,10 @@ def random_resized_crop(img, rng, scale, ratio, out_size):
     return resize_bilinear(img[i:i + ch, j:j + cw], out_size[0], out_size[1]), box
 
 
-def five_crop(img, ratio=0.875):
+TTA_CROP_RATIO = 0.875  # test-time crop side, share of the input side
+
+
+def five_crop(img, ratio=TTA_CROP_RATIO):
     """Four corner crops plus the center crop, each resized back to the
     input size. Crop side is ``ratio`` of the input side."""
     h, w = img.shape[:2]
@@ -387,15 +390,18 @@ def five_crop(img, ratio=0.875):
 class SimclrPolicy:
     """Two-view contrastive augmentation policy."""
 
-    crop_scale: tuple = (0.2, 1.0)
-    crop_ratio: tuple = (0.75, 4.0 / 3.0)
-    brightness: float = 0.4
-    contrast: float = 0.4
-    saturation: float = 0.4
-    hue: float = 0.1
+    crop_scale_min: float = 0.2     # crop area, share of the image's
+    crop_scale_max: float = 1.0
+    crop_ratio_min: float = 0.75    # crop aspect, width over height
+    crop_ratio_max: float = 4.0 / 3.0
+    jitter_brightness: float = 0.4  # factor drawn in [max(0, 1 - s), 1 + s]
+    jitter_contrast: float = 0.4
+    jitter_saturation: float = 0.4
+    jitter_hue: float = 0.1         # shift drawn in [-s, s] turns
     grayscale_p: float = 0.2
-    blur_kernel: int = 23
-    blur_sigma: tuple = (0.1, 2.0)
+    blur_kernel: int = 23           # pixels per side
+    blur_sigma_min: float = 0.1     # pixels
+    blur_sigma_max: float = 2.0
     flip_p: float = 0.5
 
 
@@ -403,13 +409,15 @@ class SimclrPolicy:
 class FinetunePolicy:
     """Supervised-training augmentation policy."""
 
-    crop_scale: tuple = (0.8, 1.0)
-    crop_ratio: tuple = (0.75, 4.0 / 3.0)
+    crop_scale_min: float = 0.8     # crop area, share of the image's
+    crop_scale_max: float = 1.0
+    crop_ratio_min: float = 0.75    # crop aspect, width over height
+    crop_ratio_max: float = 4.0 / 3.0
     hflip_p: float = 0.5
     vflip_p: float = 0.5
-    rotation_degrees: float = 15.0
-    brightness: float = 0.2
-    contrast: float = 0.2
+    rotation_degrees: float = 15.0  # angle drawn in [-d, d]
+    jitter_brightness: float = 0.2  # factor drawn in [max(0, 1 - s), 1 + s]
+    jitter_contrast: float = 0.2
 
 
 @dataclass
@@ -424,16 +432,17 @@ class ViewPair:
 
 def _simclr_view(img, policy, rng, out_size):
     log = {}
-    img, log["crop"] = random_resized_crop(img, rng, policy.crop_scale,
-                                           policy.crop_ratio, out_size)
-    img, jit = color_jitter(img, rng, policy.brightness, policy.contrast,
-                            policy.saturation, policy.hue)
+    img, log["crop"] = random_resized_crop(
+        img, rng, (policy.crop_scale_min, policy.crop_scale_max),
+        (policy.crop_ratio_min, policy.crop_ratio_max), out_size)
+    img, jit = color_jitter(img, rng, policy.jitter_brightness, policy.jitter_contrast,
+                            policy.jitter_saturation, policy.jitter_hue)
     log.update(jit)
     gray = rng.random() < policy.grayscale_p
     log["grayscale"] = bool(gray)
     if gray:
         img = to_grayscale(img)
-    sigma = rng.uniform(policy.blur_sigma[0], policy.blur_sigma[1])
+    sigma = rng.uniform(policy.blur_sigma_min, policy.blur_sigma_max)
     log["blur_sigma"] = sigma
     flip = rng.random() < policy.flip_p
     log["hflip"] = bool(flip)
@@ -466,11 +475,12 @@ def finetune_augment(image, policy, rng, out_size=None):
     (``_affine_view``), then the jitter."""
     image = np.asarray(image, dtype=np.float32)
     out_size = out_size or image.shape[:2]
-    box = _crop_box(*image.shape[:2], rng, policy.crop_scale, policy.crop_ratio)
+    box = _crop_box(*image.shape[:2], rng, (policy.crop_scale_min, policy.crop_scale_max),
+                    (policy.crop_ratio_min, policy.crop_ratio_max))
     flip_h = rng.random() < policy.hflip_p
     flip_v = rng.random() < policy.vflip_p
     angle = rng.uniform(-policy.rotation_degrees, policy.rotation_degrees)
     img = _affine_view(image, box, out_size, flip_h, flip_v,
                        angle if policy.rotation_degrees > 0 else 0.0)
-    img, _ = color_jitter(img, rng, policy.brightness, policy.contrast)
+    img, _ = color_jitter(img, rng, policy.jitter_brightness, policy.jitter_contrast)
     return _clip01(img).astype(np.float32, copy=False)

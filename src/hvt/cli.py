@@ -170,25 +170,28 @@ def cmd_eval(args):
         params, config, _ = load_model(args.checkpoint)
         container = _load_container(args.data, config, labeled=True)
         preds = _predictions(params, config, container, run_cfg)
-        preds.save_csv(os.path.join(out, "predictions.csv"))
     report = classification_metrics(preds)
     bins = int(run_cfg.get("eval", "ece_bins"))
     payload = report.to_dict()
     payload["ece"] = ece(preds, bins=bins)
+    rows = reliability_bins(preds, bins=bins).rows()
+    # every result is computed before the first file is written
+    if not args.preds:
+        preds.save_csv(os.path.join(out, "predictions.csv"))
     with atomic_open(os.path.join(out, "metrics.json")) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=2))
-    write_csv(os.path.join(out, "reliability_bins.csv"),
-              reliability_bins(preds, bins=bins).rows(),
+    write_csv(os.path.join(out, "reliability_bins.csv"), rows,
               ("bin", "lo", "hi", "count", "mean_confidence", "accuracy"))
     emit(event="eval_done", n=report.n, accuracy=report.accuracy,
          macro_f1=report.macro_f1, ece=payload["ece"])
     return 0
 
 
-def _logits_for_calibration(args):
+def _logits_for_calibration(args, batch):
     """(val_logits, val_labels, test_logits, test_labels) from either CSVs
-    or a checkpoint plus containers. CSV probabilities enter as log-probs,
-    which shifts logits per row but leaves temperature fitting unchanged."""
+    or a checkpoint plus containers, ``batch`` images per forward. CSV
+    probabilities enter as log-probs, which shifts logits per row but leaves
+    temperature fitting unchanged."""
     if args.val_preds:
         val, test = args.val_preds, args.test_preds
 
@@ -203,7 +206,7 @@ def _logits_for_calibration(args):
 
         def logits_of(path):
             cont = _load_container(path, config, labeled=True)
-            return predict_logits(cont.images, params, config), cont.labels
+            return predict_logits(cont.images, params, config, batch), cont.labels
 
     return (*logits_of(val), *(logits_of(test) if test else (None, None)))
 
@@ -211,7 +214,8 @@ def _logits_for_calibration(args):
 def cmd_calibrate(args):
     run_cfg, _ = _run_config(args)
     out = _outdir(args)
-    val_logits, val_y, test_logits, test_y = _logits_for_calibration(args)
+    val_logits, val_y, test_logits, test_y = _logits_for_calibration(
+        args, int(run_cfg.get("eval", "batch_size")))
     bins = int(run_cfg.get("eval", "ece_bins"))
     t_star, degenerate = fit_temperature(val_logits, val_y)
     payload = {

@@ -357,6 +357,8 @@ def config_from_snapshot(snapshot):
     if not snapshot:
         return None
     try:
-        return HVTConfig(**snapshot)
+        fields = dict(snapshot)
+        fields.pop("allow_custom_dims", None)  # a deleted option older checkpoints carry
+        return HVTConfig(**fields)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint config snapshot is not a model config ({e})") from None

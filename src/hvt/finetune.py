@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .augment import (FinetunePolicy, finetune_augment, five_crop,
-                      hflip, map_augment)
+from .augment import (TTA_CROP_RATIO, FinetunePolicy, finetune_augment,
+                      five_crop, hflip, map_augment)
 from .data import save_checkpoint, write_csv
 from .errors import ConfigError, InputError
 from .model import forward
@@ -183,10 +183,10 @@ def apply_batch_mixing(images, labels, rng, mixup_p=0.2, mixup_alpha=0.2,
 class FinetuneSettings:
     epochs: int = 100
     batch_size: int = 16
-    accum_steps: int = 2
+    accum_steps: int = 2          # "effective batch" = batch * accum
     lr_max: float = 0.1
     lr_min: float = 1e-5
-    warmup_frac: float = 0.1
+    warmup_frac: float = 0.1      # one-cycle rise, fraction of epochs
     weight_decay: float = 1e-4
     clip_norm: float = 5.0
     layer_decay: float = 0.65
@@ -199,8 +199,9 @@ class FinetuneSettings:
     mixup_alpha: float = 0.2
     cutmix_p: float = 0.5
     cutmix_alpha: float = 1.0
+    # per-image crop/flip/rotation/jitter; None trains on the images as given
     policy: FinetunePolicy | None = field(default_factory=FinetunePolicy)
-    max_steps: int = 0
+    max_steps: int = 0            # 0 = run all epochs
 
 
 @dataclass
@@ -216,7 +217,10 @@ class FinetuneResult:
     augment: str          # "worker" or "inline": where micro-batches were made
 
 
-def predict_logits(images, params, config, batch=64):
+PREDICT_BATCH = 64  # images per no-graph forward
+
+
+def predict_logits(images, params, config, batch=PREDICT_BATCH):
     """Logits for an array of images with pixels in [0, 1], ``batch`` images
     per forward, no graph."""
     if batch < 1:
@@ -227,7 +231,7 @@ def predict_logits(images, params, config, batch=64):
     return np.concatenate(out, axis=0)
 
 
-def predict_proba(images, params, config, batch=64):
+def predict_proba(images, params, config, batch=PREDICT_BATCH):
     """Softmax probabilities for an array of images with pixels in [0, 1],
     batched, no graph."""
     return T.softmax(Tensor(predict_logits(images, params, config, batch)),
@@ -343,13 +347,13 @@ def finetune_loop(params, train, val, config, settings, rng, out_dir=None,
 # ----------------------------------------------------------------------
 # test-time augmentation
 
-def tta_inputs(image, crop_ratio=0.875):
+def tta_inputs(image, crop_ratio=TTA_CROP_RATIO):
     """The ten TTA variants: five crops, then their horizontal flips."""
     crops = five_crop(np.asarray(image, dtype=np.float32), crop_ratio)
     return crops + [hflip(c) for c in crops]
 
 
-def tta_predict(image, params, config, crop_ratio=0.875):
+def tta_predict(image, params, config, crop_ratio=TTA_CROP_RATIO):
     """Average softmax output over the ten TTA variants of one image."""
     variants = np.stack(tta_inputs(image, crop_ratio))
     return predict_proba(variants, params, config).mean(axis=0)

@@ -43,16 +43,15 @@ from .tensor import Tensor
 class HVTConfig:
     """Architecture hyperparameters; see module docstring for conventions."""
 
-    input_size: tuple = (448, 448)
-    patch_size: int = 14
-    depths: tuple = (3, 6, 24, 3)
+    input_size: tuple = (448, 448)       # (rows, cols), pixels
+    patch_size: int = 14                 # pixels per patch side
+    depths: tuple = (3, 6, 24, 3)        # blocks per stage
     dims: tuple = (192, 384, 768, 1536)
     heads: tuple = (6, 12, 24, 48)
     ffn_ratio: int = 4
-    drop_path_max: float = 0.3
+    drop_path_max: float = 0.3           # final-block stochastic-depth rate
     num_classes: int = 7
     use_output_proj: bool = True
-    allow_custom_dims: bool = False  # lift the channel-doubling requirement
     norm_mean: tuple = (0.5, 0.5, 0.5)   # input standardization per channel
     norm_std: tuple = (0.25, 0.25, 0.25)
 
@@ -85,10 +84,9 @@ class HVTConfig:
         for d, nh in zip(self.dims, self.heads):
             if d % nh:
                 raise ConfigError(f"dim {d} not divisible by heads {nh}")
-        if not self.allow_custom_dims:
-            for a, b in zip(self.dims, self.dims[1:]):
-                if b != 2 * a:
-                    raise ConfigError(f"dims must double per stage, got {a} -> {b}")
+        for a, b in zip(self.dims, self.dims[1:]):
+            if b != 2 * a:
+                raise ConfigError(f"dims must double per stage, got {a} -> {b}")
         if not 0.0 <= self.drop_path_max < 1.0:
             raise ConfigError("drop_path_max must lie in [0, 1)")
         if self.num_classes < 2:

@@ -118,16 +118,17 @@ def project(features, head):
 class PretrainSettings:
     epochs: int = 80
     batch_size: int = 32
-    accum_steps: int = 2
+    accum_steps: int = 2       # micro-batches per optimizer step
     lr: float = 5e-4
     weight_decay: float = 0.05
-    betas: tuple = (0.9, 0.999)
+    beta1: float = 0.9
+    beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 1.0
     warmup_epochs: float = 10.0
     temperature: float = 0.5
     proj_dim: int = 128
-    proj_hidden: int = 0
+    proj_hidden: int = 0       # 0 = final stage width
     policy: SimclrPolicy = field(default_factory=SimclrPolicy)
     max_steps: int = 0        # 0 = run all epochs
     checkpoint_every: int = 0  # optimizer steps; 0 = final only
@@ -168,8 +169,8 @@ def pretrain_loop(params, head, images, config, settings, rng, out_dir=None,
             f"warmup_epochs={settings.warmup_epochs} must be shorter than "
             f"epochs={settings.epochs}")
     merged = {**params, **head}
-    opt = AdamWState.init(merged, betas=settings.betas, eps=settings.eps,
-                          weight_decay=settings.weight_decay)
+    opt = AdamWState.init(merged, betas=(settings.beta1, settings.beta2),
+                          eps=settings.eps, weight_decay=settings.weight_decay)
     per_epoch = steps_per_epoch(n, settings)
     logs, paths = [], []
 

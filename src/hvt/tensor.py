@@ -152,9 +152,6 @@ class Tensor:
     def max(self, axis=None, keepdims=False):
         return reduce(self, "max", axis, keepdims)
 
-    def argmax(self, axis=None):
-        return reduce(self, "argmax", axis)
-
     # ------------------------------------------------------------------
     # backward
 
@@ -543,14 +540,8 @@ def _check_axis(t, axis):
 
 
 def reduce(x, kind, axis=None, keepdims=False):
-    """Reduction over ``axis`` (None = all): sum, mean, max, or argmax.
-
-    argmax returns a plain integer array and does not participate in
-    differentiation.
-    """
+    """Reduction over ``axis`` (None = all): sum, mean or max."""
     _check_axis(x, axis)
-    if kind == "argmax":
-        return np.argmax(x.data, axis=axis)
     if kind == "sum":
         data = x.data.sum(axis=axis, keepdims=keepdims)
 

@@ -149,16 +149,23 @@ def ref_affine_view(img, box, out_size, hflip=False, vflip=False, degrees=0.0):
     return out
 
 
+def crop_ranges(policy):
+    """A policy's crop (scale, ratio) ranges, as ``_crop_box`` takes them."""
+    return ((policy.crop_scale_min, policy.crop_scale_max),
+            (policy.crop_ratio_min, policy.crop_ratio_max))
+
+
 def ref_finetune_augment(image, policy, rng, out_size=None):
     """``finetune_augment`` from the per-pixel view and the reference jitter."""
     out_size = out_size or image.shape[:2]
-    box = A._crop_box(*image.shape[:2], rng, policy.crop_scale, policy.crop_ratio)
+    box = A._crop_box(*image.shape[:2], rng, *crop_ranges(policy))
     flip_h = rng.random() < policy.hflip_p
     flip_v = rng.random() < policy.vflip_p
     angle = rng.uniform(-policy.rotation_degrees, policy.rotation_degrees)
     view = ref_affine_view(image, box, out_size, flip_h, flip_v,
                            angle if policy.rotation_degrees > 0 else 0.0)
-    view, _ = ref_color_jitter(view, rng, policy.brightness, policy.contrast)
+    view, _ = ref_color_jitter(view, rng, policy.jitter_brightness,
+                               policy.jitter_contrast)
     return np.clip(view, 0.0, 1.0)
 
 
@@ -167,8 +174,7 @@ def two_pass_finetune_augment(image, policy, rng, out_size=None):
     crop resized, flipped copies, then ``ndimage.rotate`` of the result."""
     image = np.asarray(image, dtype=np.float32)
     out_size = out_size or image.shape[:2]
-    img, _ = A.random_resized_crop(image, rng, policy.crop_scale,
-                                   policy.crop_ratio, out_size)
+    img, _ = A.random_resized_crop(image, rng, *crop_ranges(policy), out_size)
     if rng.random() < policy.hflip_p:
         img = img[:, ::-1]
     if rng.random() < policy.vflip_p:
@@ -176,7 +182,7 @@ def two_pass_finetune_augment(image, policy, rng, out_size=None):
     angle = rng.uniform(-policy.rotation_degrees, policy.rotation_degrees)
     if policy.rotation_degrees > 0:
         img = ndimage.rotate(img, angle, reshape=False, order=1, mode="nearest")
-    img, _ = A.color_jitter(img, rng, policy.brightness, policy.contrast)
+    img, _ = A.color_jitter(img, rng, policy.jitter_brightness, policy.jitter_contrast)
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
@@ -486,7 +492,7 @@ class TestFinetuneView:
     @pytest.mark.parametrize("policy", [
         A.FinetunePolicy(),
         # no crop proposal fits: ten of them, then the centred fallback box
-        A.FinetunePolicy(crop_scale=(1.0, 1.0), crop_ratio=(2.5, 3.0)),
+        A.FinetunePolicy(crop_scale_min=1.0, crop_ratio_min=2.5, crop_ratio_max=3.0),
     ], ids=["proposal", "fallback"])
     def test_draw_order(self, policy):
         for k, src in enumerate(desk_images(6)):
@@ -497,13 +503,15 @@ class TestFinetuneView:
             # crop proposals, then hflip, vflip, angle, brightness, contrast
             # (and the jitter's saturation and hue factors, drawn at strength 0)
             names = [(name, args) for name, args, _, _ in fused.calls]
-            s, r = policy.crop_scale, (np.log(policy.crop_ratio[0]), np.log(policy.crop_ratio[1]))
-            deg, b, c = policy.rotation_degrees, policy.brightness, policy.contrast
+            s, r = crop_ranges(policy)
+            r = (np.log(r[0]), np.log(r[1]))
+            deg, b, c = (policy.rotation_degrees, policy.jitter_brightness,
+                         policy.jitter_contrast)
             assert names[-7:] == [("random", ()), ("random", ()), ("uniform", (-deg, deg)),
                                   ("uniform", (1 - b, 1 + b)), ("uniform", (1 - c, 1 + c)),
                                   ("uniform", (1.0, 1.0)), ("uniform", (-0.0, 0.0))]
             crop = names[:-7]
-            fallback = policy.crop_scale == (1.0, 1.0)
+            fallback = policy.crop_scale_min == 1.0
             if not fallback:
                 assert [name for name, _ in crop[-2:]] == ["integers", "integers"]
                 crop = crop[:-2]
@@ -511,10 +519,10 @@ class TestFinetuneView:
 
     def test_crop_box_matches_random_resized_crop(self):
         for policy in (A.SimclrPolicy(), A.FinetunePolicy(),
-                       A.FinetunePolicy(crop_scale=(1.0, 1.0), crop_ratio=(2.5, 3.0))):
+                       A.FinetunePolicy(crop_scale_min=1.0, crop_ratio_min=2.5,
+                                        crop_ratio_max=3.0)):
             for k, img in enumerate(desk_images(6)):
                 a, b = RecordingStream(RngStream(35, k)), RecordingStream(RngStream(35, k))
-                box = A._crop_box(*img.shape[:2], a, policy.crop_scale, policy.crop_ratio)
-                _, want = A.random_resized_crop(img, b, policy.crop_scale,
-                                                policy.crop_ratio, (32, 32))
+                box = A._crop_box(*img.shape[:2], a, *crop_ranges(policy))
+                _, want = A.random_resized_crop(img, b, *crop_ranges(policy), (32, 32))
                 assert box == want and a.calls == b.calls

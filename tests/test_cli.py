@@ -12,7 +12,7 @@ from hvt import finetune as F
 from hvt import model as M
 from hvt import ssl as S
 from hvt.cli import main
-from hvt.config import RunConfig
+from hvt.config import DEFAULTS, KEYS, RunConfig
 from hvt.data import ImageContainer, save_checkpoint
 from hvt.errors import ContractError
 from hvt.metrics import PredictionSet
@@ -49,6 +49,39 @@ def override_cfg(tmp_path, section, key, value):
     with open(cfg, "w") as f:
         cp.write(f)
     return str(cfg)
+
+
+# A valid value other than the default for every key whose section builds
+# an object, as a config file writes it.
+NON_DEFAULTS = {
+    "model": {
+        "input_size": 224, "patch_size": 7, "depths": "1,2,3,1", "dims": "96,192,384,768",
+        "heads": "3,6,12,24", "ffn_ratio": 2, "drop_path_max": 0.2, "num_classes": 5,
+        "use_output_proj": "false", "norm_mean": "0.4,0.45,0.5", "norm_std": "0.2,0.3,0.35"},
+    "pretrain": {
+        "epochs": 7, "batch_size": 5, "accum_steps": 3, "lr": 1e-3, "weight_decay": 0.01,
+        "beta1": 0.8, "beta2": 0.99, "eps": 1e-6, "clip_norm": 2.0, "warmup_epochs": 3.5,
+        "temperature": 0.2, "proj_dim": 64, "proj_hidden": 32, "crop_scale_min": 0.3,
+        "crop_scale_max": 0.9, "crop_ratio_min": 0.5, "crop_ratio_max": 2.0,
+        "jitter_brightness": 0.1, "jitter_contrast": 0.2, "jitter_saturation": 0.3,
+        "jitter_hue": 0.05, "grayscale_p": 0.15, "blur_kernel": 9, "blur_sigma_min": 0.25,
+        "blur_sigma_max": 1.5, "flip_p": 0.35, "max_steps": 10, "checkpoint_every": 5},
+    "finetune": {
+        "epochs": 9, "batch_size": 6, "accum_steps": 4, "lr_max": 0.01, "lr_min": 1e-6,
+        "warmup_frac": 0.2, "weight_decay": 1e-3, "clip_norm": 3.0, "layer_decay": 0.75,
+        "freeze_epochs": 2, "ema_decay": 0.99, "gamma": 1.5, "lambda_ce": 0.6,
+        "lambda_focal": 0.4, "mixup_p": 0.1, "mixup_alpha": 0.4, "cutmix_p": 0.3,
+        "cutmix_alpha": 0.5, "augment": "false", "crop_scale_min": 0.7,
+        "crop_scale_max": 0.95, "hflip_p": 0.25, "vflip_p": 0.75, "rotation_degrees": 10.0,
+        "jitter_brightness": 0.1, "jitter_contrast": 0.3, "max_steps": 12},
+}
+
+
+def flat_fields(obj):
+    """A built object's fields by name, its policy's fields among them."""
+    fields = dict(vars(obj))
+    policy = fields.pop("policy", None)
+    return {**fields, **(vars(policy) if policy is not None else {})}
 
 
 def perfect_preds_csv(path, n=40, classes=7):
@@ -700,6 +733,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,key,value", [
         ("eval", "batch_size", 0), ("eval", "batch_size", -1),
         ("eval", "ece_bins", 0), ("eval", "ece_bins", -3),
+        ("calibrate", "batch_size", 0), ("calibrate", "batch_size", -1),
         ("calibrate", "ece_bins", 0), ("calibrate", "ece_bins", -3)])
     def test_eval_size_below_1_exits_1(self, tmp_path, capsys, command, key, value):
         cfg = override_cfg(tmp_path, "eval", key, value)
@@ -708,12 +742,35 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert rc == 1
         assert "event=error kind=ConfigError" in out and key in out
+        assert not os.listdir(tmp_path / "o")  # a failed run writes no artifact
 
     def test_defaults_agree_with_the_dataclasses(self):
-        # config.DEFAULTS and the dataclass field defaults are two copies
+        # config.DEFAULTS is derived from the dataclass field defaults, so the
+        # objects it builds must be the dataclasses' own defaults
         assert RunConfig().model_config() == M.HVTConfig()
         assert RunConfig().pretrain_settings() == S.PretrainSettings()
         assert RunConfig().finetune_settings() == F.FinetuneSettings()
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section in ("model", "pretrain", "finetune")
+        for key in KEYS[section]])
+    def test_every_key_reaches_its_field(self, tmp_path, section, key):
+        # distinct values catch a key wired to another field with the same
+        # default (hflip_p and vflip_p, the four SimCLR jitter strengths)
+        path = tmp_path / "one.cfg"
+        path.write_text(f"[{section}]\n{key} = {NON_DEFAULTS[section][key]}\n")
+        run_cfg = RunConfig.load(str(path))
+        value = run_cfg.values[section][key]
+        assert value != DEFAULTS[section][key]
+        build = {"model": RunConfig.model_config, "pretrain": RunConfig.pretrain_settings,
+                 "finetune": RunConfig.finetune_settings}[section]
+        got, want = build(run_cfg), build(RunConfig())
+        if key == "augment":
+            assert got.policy is None
+            assert dataclasses.replace(got, policy=want.policy) == want
+            return
+        want = {**flat_fields(want), key: (value, value) if key == "input_size" else value}
+        assert flat_fields(got) == want
 
     def test_defaults_roundtrip(self, tmp_path):
         from hvt.config import RunConfig

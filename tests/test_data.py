@@ -249,6 +249,15 @@ class TestCheckpoint:
         assert config.norm_mean == (0.5, 0.5, 0.5)
         assert config.norm_std == (0.25, 0.25, 0.25)
 
+    def test_snapshot_with_allow_custom_dims_loads(self, tmp_path):
+        # checkpoints written while HVTConfig had the allow_custom_dims option
+        cfg = HVTConfig.tiny(drop_path_max=0.0)
+        path = tmp_path / "old.ckpt"
+        D.save_checkpoint(path, init_params(cfg, RngStream(5)),
+                          {**D._snapshot_config(cfg), "allow_custom_dims": False})
+        _, config, _ = D.load_model(path)
+        assert config == cfg
+
     def test_given_config_must_keep_the_snapshot_stats(self, tmp_path):
         # the parameters were trained on pixels standardized with the
         # snapshot's stats; a snapshot without them has the defaults
@@ -321,8 +330,10 @@ class TestCheckpoint:
             D.load_checkpoint(path)
 
     @pytest.mark.parametrize("change", [{"bogus": 1}, {"depths": "abc"},
-                                        {"norm_std": [0.0, 0.0, 0.0]}],
-                             ids=["unknown-key", "malformed-value", "zero-std"])
+                                        {"norm_std": [0.0, 0.0, 0.0]},
+                                        {"allow_custom_dims": True, "dims": [8, 24, 48, 96]}],
+                             ids=["unknown-key", "malformed-value", "zero-std",
+                                  "custom-dims"])
     def test_bad_config_snapshot_is_checkpoint_error(self, tmp_path, change):
         snapshot = {**D._snapshot_config(HVTConfig.tiny()), **change}
         path = self._assembled(tmp_path / "cfg.ckpt", {"config": snapshot, "meta": {}}, [])

@@ -39,7 +39,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [
         {"input_size": (0, 0)}, {"patch_size": 0}, {"patch_size": -8}, {"ffn_ratio": 0},
-        {"depths": (1, 0, 1, 1)}, {"dims": (8, 16, 32, -64), "allow_custom_dims": True},
+        {"depths": (1, 0, 1, 1)}, {"dims": (8, 16, 32, -64)},
         {"heads": (0, 2, 4, 8)},
         {"heads": (1, 2, 4, -8)}],
         ids=["input_size", "patch_size", "negative-patch_size", "ffn_ratio", "depths",
@@ -70,10 +70,6 @@ class TestConfig:
     def test_bad_norm_stats_rejected(self, stats):
         with pytest.raises(ConfigError, match="norm_"):
             HVTConfig.tiny(**stats)
-
-    def test_doubling_override(self):
-        cfg = HVTConfig.tiny(dims=(8, 24, 48, 96), heads=(1, 2, 4, 8), allow_custom_dims=True)
-        assert cfg.dims == (8, 24, 48, 96)
 
 
 class TestInitParams:

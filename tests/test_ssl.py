@@ -138,10 +138,10 @@ class TestAugmentation:
 
     def test_degenerate_policy_gives_blurred_original(self):
         img = np.random.default_rng(2).random((32, 32, 3), dtype=np.float32)
-        policy = A.SimclrPolicy(crop_scale=(1.0, 1.0), crop_ratio=(1.0, 1.0),
-                                brightness=0.0, contrast=0.0, saturation=0.0,
-                                hue=0.0, grayscale_p=0.0, blur_sigma=(0.9, 0.9),
-                                flip_p=0.0)
+        policy = A.SimclrPolicy(crop_scale_min=1.0, crop_ratio_min=1.0, crop_ratio_max=1.0,
+                                jitter_brightness=0.0, jitter_contrast=0.0,
+                                jitter_saturation=0.0, jitter_hue=0.0, grayscale_p=0.0,
+                                blur_sigma_min=0.9, blur_sigma_max=0.9, flip_p=0.0)
         pair = A.simclr_augment(img, policy, RngStream(5))
         expected = A.gaussian_blur(img, 0.9)
         np.testing.assert_allclose(pair.view_a, expected, atol=1e-6)
